@@ -33,12 +33,7 @@ from .lattice import (
     inverse_transform,
     lp_norm,
 )
-from .propagator import (
-    TimeQuadrature,
-    _spacetime_product_integral,
-    default_time_quadrature,
-    switch_time,
-)
+from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature, switch_time
 
 __all__ = [
     "BandSpec",
@@ -121,9 +116,7 @@ def bilinear_l3(h1: WaveFunction, h2: WaveFunction, tq: TimeQuadrature | None = 
         tq = default_time_quadrature()
     if switch is None:
         switch = _bilinear_switch(h1, h2)
-    val = _spacetime_product_integral([h1, h2], conj_count=0, tq=tq, switch=switch,
-                                      power=3.0)
-    return float(val.real ** (1.0 / 3.0))
+    return float(FlowPlan(h1.grid, tq).integral([h1, h2], switch, power=3.0).real ** (1.0 / 3.0))
 
 
 def _bilinear_switch(h1: WaveFunction, h2: WaveFunction) -> float:

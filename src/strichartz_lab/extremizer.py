@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .lattice import (
-    GridMismatchError,
-    UniformGrid,
     WaveFunction,
     forward_transform,
     inverse_transform,
@@ -40,11 +39,12 @@ from .lattice import (
     warn_if_aliased,
 )
 from .propagator import (
+    FlowPlan,
     TimeQuadrature,
-    _chirp_profile,
+    _flow_lp_sum,
+    _row_measure,
     default_time_quadrature,
-    evolve_range,
-    spacetime_lp,
+    strichartz_ratio,
     switch_time,
 )
 from .sextic_form import KAPPA
@@ -93,10 +93,7 @@ def omega_of(f: WaveFunction, tq: TimeQuadrature | None = None) -> float:
     l2 = lp_norm(f, 2)
     if l2 == 0:
         raise ValueError("omega_of requires a nonzero input")
-    if tq is None:
-        tq = default_time_quadrature()
-    u = evolve_range(f, tq)
-    return float(KAPPA * spacetime_lp(u, 6) ** 6 / l2 ** 2)
+    return float(KAPPA * strichartz_ratio(f, tq) ** 6 * l2 ** 4)
 
 
 def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None,
@@ -106,37 +103,39 @@ def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None,
     Satisfies <g, Lambda f> = Q(g, f, f, f, f, f) for every test function g;
     homogeneous of signed degree five: Lambda(c f) = |c|^4 c Lambda f.
     """
-    if not isinstance(f.grid, UniformGrid):
-        raise GridMismatchError("lambda_apply expects a spatial-grid function")
     if lp_norm(f, 2) == 0:
         raise ValueError("lambda_apply requires a nonzero input")
-    # the quintic power spreads the spectrum fivefold
-    warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="lambda_apply")
     if tq is None:
         tq = default_time_quadrature()
+    return _lambda_with_l6(f, FlowPlan(f.grid, tq), switch)[0]
+
+
+def _lambda_with_l6(f: WaveFunction, plan: FlowPlan,
+                    switch: float | None = None) -> tuple[WaveFunction, float]:
+    """Lambda f, and sum_k w_k int |u(., t_k)|^6 dx from the same rows.
+
+    The Fresnel step of the factored rows is linear, so their spectra are
+    summed first and transformed back once.
+    """
+    # the quintic power spreads the spectrum fivefold
+    warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="lambda_apply")
     if switch is None:
         switch = switch_time(f)
-    grid = f.grid
-    fhat = forward_transform(f)
-    xi = fhat.grid.xi
-    dual = fhat.grid
-    w_axis = dual.as_spatial_axis()
-    accum = np.zeros(grid.n, dtype=complex)
-    phase_x0 = np.exp(1j * grid.x0 * xi)
-    for t, w in zip(tq.nodes, tq.weights):
-        if abs(t) <= switch:
-            u = np.fft.ifft(np.fft.ifftshift(phase_x0 * fhat.values * np.exp(1j * t * xi ** 2))) / grid.dx
-            quintic = np.abs(u) ** 4 * u
-            n_hat = grid.dx * np.exp(-1j * grid.x0 * xi) * np.fft.fftshift(np.fft.fft(quintic))
-            accum += w * np.exp(-1j * t * xi ** 2) * n_hat
+    direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
+    sixth = 0.0
+    for sl, factored, (rows,) in plan.blocks([f], switch):
+        power = rows.real ** 2 + rows.imag ** 2
+        quartic = power ** 2
+        sixth += _row_measure(plan.grid, plan.tq, sl, factored, 6) @ (quartic * power).sum(axis=-1)
+        spectra = scipy.fft.fft(quartic * rows, axis=-1, overwrite_x=True)
+        if factored:
+            spectra *= plan.table("fresnel", sl)
+            fresnel += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ spectra
         else:
-            ghat = _chirp_profile(f.values, grid, t)
-            h = WaveFunction(w_axis, np.abs(ghat) ** 4 * ghat)
-            h_hat = forward_transform(h)
-            h_hat.values *= np.exp(1j * (1.0 / (4.0 * t)) * h_hat.grid.xi ** 2)
-            fresnel = inverse_transform(h_hat)
-            accum += w * (4.0 * np.pi * t) ** (-2.0) * fresnel.values
-    return inverse_transform(WaveFunction(dual, KAPPA * accum))
+            spectra *= np.conj(plan.table("flow", sl))
+            direct += plan.tq.weights[sl] @ spectra
+    accum = plan.phase * np.fft.fftshift(direct) + scipy.fft.ifft(fresnel)
+    return inverse_transform(WaveFunction(f.grid.dual(), KAPPA * accum)), float(sixth)
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +149,28 @@ def _moments(axis: np.ndarray, power: np.ndarray) -> tuple[float, float]:
     return center, second
 
 
-def _spectral_translate(fhat_values: np.ndarray, xi: np.ndarray, shift: float) -> np.ndarray:
-    """fhat of f(. + shift)."""
-    return np.exp(1j * shift * xi) * fhat_values
-
-
 def _resample_scaled(f: WaveFunction, lam: float) -> np.ndarray:
     """Samples of sqrt(lam) f(lam x) on the same grid via the exact Fourier sum.
 
-    Direct O(n^2) evaluation of the trigonometric interpolant; spectrally
-    exact for band-limited data, used only for the parabolic rescale.  The
-    interpolant is periodic, so evaluation points pushed outside the box by
-    lam > 1 are set to zero (the true profile has decayed there) instead of
-    wrapping around.
+    The trigonometric interpolant (dxi / 2pi) sum_c fhat_c e^{i y c dxi}, c
+    the centred frequency index, is evaluated at y = lam x with c split as
+    m q + r, m ~ sqrt(n): two n x sqrt(n) phase tables and one matmul in
+    place of the n x n kernel.  The interpolant is periodic, so evaluation
+    points pushed outside the box by lam > 1 are set to zero (the true
+    profile has decayed there) instead of wrapping around.
     """
     fhat = forward_transform(f)
-    xi = fhat.grid.xi
+    dxi = fhat.grid.dxi
+    n = f.grid.n
+    m = 1 << (n.bit_length() // 2)
     y = lam * f.grid.x
     half = 0.5 * f.grid.extent
     inside = (y >= -half) & (y < half)
-    vals = np.zeros(f.grid.n, dtype=complex)
-    kernel = np.exp(1j * np.outer(y[inside], xi))
-    vals[inside] = kernel @ fhat.values * (fhat.grid.dxi / (2.0 * np.pi))
+    yi = y[inside, None] * dxi
+    q = np.arange(-n // (2 * m), n // (2 * m))
+    low = np.exp(1j * yi * np.arange(m)) @ fhat.values.reshape(-1, m).T
+    vals = np.zeros(n, dtype=complex)
+    vals[inside] = (np.exp(1j * (m * yi) * q) * low).sum(axis=1) * (dxi / (2.0 * np.pi))
     return np.sqrt(lam) * vals
 
 
@@ -192,7 +191,7 @@ def gauge_fix(f: WaveFunction, tol: float = 1e-12) -> WaveFunction:
 
     x_center, _ = _moments(grid.x, np.abs(f.values) ** 2)
     if abs(x_center) > tol:
-        fhat.values = _spectral_translate(fhat.values, xi, x_center)
+        fhat.values = np.exp(1j * x_center * xi) * fhat.values  # fhat of f(. + x_center)
     xi_center, _ = _moments(xi, np.abs(fhat.values) ** 2)
     work = inverse_transform(fhat)
     if abs(xi_center) > tol:
@@ -225,26 +224,28 @@ def picard_iterate(f0: WaveFunction, tol: float = 1e-8, max_steps: int = 200,
     if tq is None:
         tq = default_time_quadrature()
 
-    def observe(g: WaveFunction, step: int, delta: float) -> IterationState:
-        # g is unit-normalized, so the L^6 norm of the flow is the ratio and
-        # omega = KAPPA * ratio^6
-        l6 = spacetime_lp(evolve_range(g, tq), 6)
-        return IterationState(f=g, omega_estimate=float(KAPPA * l6 ** 6),
-                              ratio=float(l6), step_index=step, delta=delta)
-
+    # one plan serves every Lambda step and the last observation; each
+    # Lambda step also yields the L^6 norm of the iterate it evolves
+    plan = FlowPlan(f0.grid, tq)
     result = PicardResult()
-    current = gauge_fix(f0)
-    result.states.append(observe(current, 0, np.inf))
-    for step in range(1, max_steps + 1):
-        lam_f = lambda_apply(current, tq)
+    current, delta = gauge_fix(f0), np.inf
+    for step in range(max_steps + 1):
+        last = delta <= tol or step == max_steps
+        if last:
+            sixth = _flow_lp_sum(current, plan, 6)
+        else:
+            lam_f, sixth = _lambda_with_l6(current, plan)
+        # current has unit norm: ratio = ||u||_6 and omega = KAPPA ||u||_6^6
+        result.states.append(IterationState(f=current, omega_estimate=float(KAPPA * sixth),
+                                            ratio=float(sixth ** (1.0 / 6.0)),
+                                            step_index=step, delta=float(delta)))
+        if last:
+            break
         lam_f.values /= lp_norm(lam_f, 2)
         nxt = gauge_fix(lam_f)
         delta = lp_norm(WaveFunction(nxt.grid, nxt.values - current.values), 2)
         current = nxt
-        result.states.append(observe(current, step, float(delta)))
-        if delta <= tol:
-            result.converged = True
-            break
+    result.converged = bool(delta <= tol)
     return result
 
 

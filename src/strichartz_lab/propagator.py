@@ -19,6 +19,14 @@ with the Jacobian 2|t| and amplitude (4 pi |t|)^{-1/2} per factor.  The
 switch point is chosen per input from its spatial and spectral extents; both
 representations are accurate on an overlapping window of times.
 
+Every evaluation of the flow goes through one block engine, FlowPlan.  It
+evolves its inputs over runs of nodes in one gauge, one batched FFT per
+block of at most BLOCK_ENTRIES complex entries (1 MiB), and every space-time
+functional here is a reduction over those blocks.  Its phase tables (the
+multiplier e^{it xi^2}, the chirp e^{-ix^2/4t} and the Fresnel multiplier
+of Lambda) are kept when one nodes x n table fits in TABLE_BYTES, and are
+computed per block otherwise.
+
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.
 """
@@ -27,9 +35,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import (
@@ -38,7 +47,6 @@ from .lattice import (
     UniformGrid,
     WaveFunction,
     forward_transform,
-    inverse_transform,
     l2_mass_radius,
     lp_norm,
     sample_offgrid,
@@ -46,6 +54,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "FlowPlan",
     "SpaceTimeField",
     "TimeQuadrature",
     "default_grid",
@@ -66,6 +75,11 @@ gaussian_l6_sixth_exact = np.pi ** 1.5 / (4.0 * np.sqrt(6.0))
 
 #: the sharp constant 12^{-1/12}; its sixth power is 1/(2 sqrt 3)
 sharp_ratio_exact = 12.0 ** (-1.0 / 12.0)
+
+#: complex entries per block array (1 MiB): 64 rows at n = 1024, 4 at n = 16384
+BLOCK_ENTRIES = 1 << 16
+#: largest nodes x n phase table a plan keeps: 257 x 1024 fits, 2049 x 16384 does not
+TABLE_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,10 @@ class TimeQuadrature:
                 and self.scheme == other.scheme
                 and np.array_equal(self.nodes, other.nodes)
                 and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self):
+        # + 0.0 maps a -0.0 node to 0.0, which __eq__ treats as equal
+        return hash((self.scheme, (self.nodes + 0.0).tobytes(), self.weights.tobytes()))
 
     @classmethod
     def compactified(cls, n_nodes: int = 257, rate: float = 1.0) -> "TimeQuadrature":
@@ -138,36 +156,8 @@ def default_grid() -> UniformGrid:
 
 
 # ---------------------------------------------------------------------------
-# single-time evolution (direct multiplier)
+# gauge crossover
 # ---------------------------------------------------------------------------
-
-def evolve(f: WaveFunction, t: float, check_aliasing: bool = True) -> WaveFunction:
-    """Apply the frequency multiplier e^{i t xi^2}; unitary in L^2.
-
-    Valid as a pointwise representation of u(. , t) while the solution still
-    fits in the periodic box; see switch_time for the horizon.
-    """
-    if not isinstance(f.grid, UniformGrid):
-        raise GridMismatchError("evolve expects a spatial-grid function")
-    if check_aliasing:
-        warn_if_aliased(f, band_fraction=7.0 / 8.0, tol=1e-8, context="evolve")
-    fhat = forward_transform(f)
-    fhat.values *= np.exp(1j * t * fhat.grid.xi ** 2)
-    return inverse_transform(fhat)
-
-
-def _direct_slice(fhat_values: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
-    """Frequency samples of u(., t) for the direct gauge."""
-    return fhat_values * np.exp(1j * t * xi ** 2)
-
-
-def _chirp_profile(f_values: np.ndarray, grid: UniformGrid, t: float) -> np.ndarray:
-    """ghat_t on the dual grid: transform of the chirped profile e^{-iy^2/4t} f."""
-    x = grid.x
-    chirped = np.exp(-1j * x ** 2 / (4.0 * t)) * f_values
-    dual = grid.dual()
-    return grid.dx * np.exp(-1j * grid.x0 * dual.xi) * np.fft.fftshift(np.fft.fft(chirped))
-
 
 def _gauge_crossover(fields, box_margin: float, band_margin: float,
                      mass_tail: float) -> tuple[float, float]:
@@ -234,8 +224,124 @@ def switch_time(fields, strict: bool = True) -> float:
 
 
 # ---------------------------------------------------------------------------
-# space-time fields
+# the block engine
 # ---------------------------------------------------------------------------
+
+def _row_measure(grid: UniformGrid, tq: TimeQuadrature, sl, factored, degree) -> np.ndarray:
+    """w_k times the x-measure of the rows sl, for an integrand of the given
+    degree in |u|: dx on direct rows; on factored rows the Jacobian 2|t| dxi
+    of x = -2tw times the amplitude (4 pi |t|)^{-1/2} per degree."""
+    w = tq.weights[sl]
+    fac = np.broadcast_to(factored, w.shape)
+    out = w * grid.dx
+    t = np.abs(tq.nodes[sl][fac])
+    out[fac] = w[fac] * (4.0 * np.pi * t) ** (-0.5 * degree) * 2.0 * t * grid.dual().dxi
+    return out
+
+
+class FlowPlan:
+    """The flow on one grid over one time rule, evaluated in row blocks; it
+    holds no input, so one plan serves every call on its grid and rule."""
+
+    def __init__(self, grid: UniformGrid, tq: TimeQuadrature):
+        if not isinstance(grid, UniformGrid):
+            raise GridMismatchError("a flow plan needs a spatial grid")
+        self.grid, self.tq = grid, tq
+        dual = grid.dual()
+        self.block_rows = max(1, BLOCK_ENTRIES // grid.n)
+        self._keep = len(tq.nodes) * grid.n * 16 <= TABLE_BYTES
+        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: dx e^{-i x0 xi}: the origin phase of a centred-order transform
+        self.phase = grid.dx * np.exp(-1j * grid.x0 * dual.xi)
+        self._xi2 = np.fft.ifftshift(dual.xi) ** 2
+        # (-1)^j shifts the FFT output to centred order (n is even)
+        self._sign = np.where(np.arange(grid.n) % 2, -1.0, 1.0)
+        self._x2 = grid.x ** 2
+        # eta, the dual of the frequency axis read as a spatial axis
+        self._eta2 = np.fft.ifftshift(dual.as_spatial_axis().dual().xi) ** 2
+
+    def table(self, kind: str, sl: slice) -> np.ndarray:
+        """Rows sl of a phase table, a kept one filled as blocks ask: "flow" e^{it xi^2}
+        and "fresnel" e^{i eta^2 / 4t} in FFT order, "chirp" (-1)^j e^{-i x_j^2 / 4t}."""
+        if self._keep:
+            if kind not in self._tables:
+                shape = (len(self.tq.nodes), self.grid.n)
+                self._tables[kind] = (np.empty(shape, dtype=complex), np.zeros(shape[0], bool))
+            table, filled = self._tables[kind]
+            if not filled[sl].all():
+                table[sl], filled[sl] = self._phases(kind, sl), True
+            return table[sl]
+        return self._phases(kind, sl)
+
+    def _phases(self, kind: str, sl: slice) -> np.ndarray:
+        t = self.tq.nodes[sl, None]
+        if kind == "flow":
+            return np.exp(1j * t * self._xi2)
+        # 1/4t; a t = 0 node is never factored, so its row is never read
+        s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
+        if kind == "chirp":
+            return self._sign * np.exp(-1j * s * self._x2)
+        return np.exp(1j * s * self._eta2)
+
+    def blocks(self, fields, switch: float):
+        """Evolve fields over runs of at most block_rows nodes in one gauge
+        (factored when |t| > switch).  Yields (nodes, factored, rows), rows[i]
+        the rows of fields[i] at those nodes: samples u(x_j, t_k) in the
+        direct gauge, ghat_{t_k} on the centred dual grid in the factored
+        gauge.  An input passed in several slots is evolved once."""
+        if any(f.grid != self.grid for f in fields):
+            raise GridMismatchError("all inputs must share the plan's grid")
+        distinct = {id(f): f.values for f in fields}
+        spectra = {key: scipy.fft.fft(v) for key, v in distinct.items()}
+        factored = np.abs(self.tq.nodes) > switch
+        runs = [0, *(np.flatnonzero(np.diff(factored)) + 1).tolist(), len(factored)]
+        for a, b in zip(runs[:-1], runs[1:]):
+            for start in range(a, b, self.block_rows):
+                sl = slice(start, min(start + self.block_rows, b))
+                if factored[a]:
+                    chirp = self.table("chirp", sl)
+                    rows = {key: scipy.fft.fft(chirp * v, axis=-1) * self.phase
+                            for key, v in distinct.items()}
+                else:
+                    flow = self.table("flow", sl)
+                    rows = {key: scipy.fft.ifft(flow * spectra[key], axis=-1) for key in distinct}
+                yield sl, bool(factored[a]), [rows[id(f)] for f in fields]
+
+    def integral(self, fields, switch: float | None = None, conj_count: int = 0,
+                 power: float | None = None) -> complex:
+        """sum_k w_k int conj(u_1 .. u_c) u_{c+1} .. u_m dx, or sum_k w_k int |u_1 .. u_m|^power
+        dx when power is given; switch defaults to the inputs' non-strict crossover."""
+        if switch is None:
+            switch = switch_time(fields, strict=False)
+        degree = len(fields) * (1.0 if power is None else power)
+        total = 0.0 + 0.0j
+        for sl, factored, rows in self.blocks(fields, switch):
+            prod = reduce(np.multiply, [np.conj(r) for r in rows[:conj_count]] + rows[conj_count:])
+            if power is not None:
+                prod = np.abs(prod) ** power
+            total += _row_measure(self.grid, self.tq, sl, factored, degree) @ prod.sum(axis=-1)
+        return complex(total)
+
+
+def _flow_lp_sum(f: WaveFunction, plan: FlowPlan, p: float) -> float:
+    """sum_k w_k int |u(., t_k)|^p dx for u = e^{it Delta} f."""
+    warn_if_aliased(f, band_fraction=7.0 / 8.0, tol=1e-8, context="the flow")
+    return plan.integral([f], power=p).real
+
+
+# ---------------------------------------------------------------------------
+# evolution and space-time norms
+# ---------------------------------------------------------------------------
+
+def evolve(f: WaveFunction, t: float, check_aliasing: bool = True) -> WaveFunction:
+    """Apply the frequency multiplier e^{i t xi^2}; unitary in L^2.
+
+    Valid as a pointwise representation of u(. , t) while the solution still
+    fits in the periodic box; see switch_time for the horizon.
+    """
+    u = evolve_range(f, TimeQuadrature.single(t), np.inf, check_aliasing)
+    return WaveFunction(f.grid, u.values[0])
+
 
 @dataclass
 class SpaceTimeField:
@@ -291,43 +397,23 @@ def evolve_range(f: WaveFunction, tq: TimeQuadrature, switch: float | None = Non
     numpy.inf forces direct rows everywhere (only sensible when all nodes sit
     below the wrap horizon).
     """
-    if not isinstance(f.grid, UniformGrid):
-        raise GridMismatchError("evolve_range expects a spatial-grid function")
     if check_aliasing:
         warn_if_aliased(f, band_fraction=7.0 / 8.0, tol=1e-8, context="evolve_range")
     if switch is None:
         switch = switch_time(f, strict=False)
-    grid = f.grid
-    fhat = forward_transform(f)
-    xi = fhat.grid.xi
-    nt = len(tq.nodes)
-    values = np.empty((nt, grid.n), dtype=complex)
-    flags = np.abs(tq.nodes) > switch
-    for k, t in enumerate(tq.nodes):
-        if flags[k]:
-            values[k] = _chirp_profile(f.values, grid, t)
-        else:
-            values[k] = np.fft.ifft(
-                np.fft.ifftshift(np.exp(1j * grid.x0 * xi) * _direct_slice(fhat.values, xi, t))
-            ) / grid.dx
-    return SpaceTimeField(grid=grid, times=tq, values=values, row_factored=flags)
+    values = np.empty((len(tq.nodes), f.grid.n), dtype=complex)
+    for sl, _, (rows,) in FlowPlan(f.grid, tq).blocks([f], switch):
+        values[sl] = rows
+    return SpaceTimeField(grid=f.grid, times=tq, values=values,
+                          row_factored=np.abs(tq.nodes) > switch)
 
 
 def spacetime_lp(u: SpaceTimeField, p: float) -> float:
     """( sum_k w_k int |u(., t_k)|^p dx )^{1/p} over the field's quadrature."""
     if p < 1:
         raise ValueError(f"spacetime_lp requires p >= 1, got {p}")
-    dx = u.grid.dx
-    dxi = u.grid.dual().dxi
-    total = 0.0
-    for k, (t, w) in enumerate(zip(u.times.nodes, u.times.weights)):
-        mag_p = np.abs(u.values[k]) ** p
-        if u.row_factored[k]:
-            slice_val = (4.0 * np.pi * abs(t)) ** (-0.5 * p) * 2.0 * abs(t) * dxi * mag_p.sum()
-        else:
-            slice_val = dx * mag_p.sum()
-        total += w * slice_val
-    return float(total ** (1.0 / p))
+    measure = _row_measure(u.grid, u.times, slice(None), u.row_factored, p)
+    return float((measure @ (np.abs(u.values) ** p).sum(axis=-1)) ** (1.0 / p))
 
 
 def strichartz_ratio(f: WaveFunction, tq: TimeQuadrature | None = None) -> float:
@@ -341,77 +427,7 @@ def strichartz_ratio(f: WaveFunction, tq: TimeQuadrature | None = None) -> float
         raise ValueError("strichartz_ratio requires a nonzero input")
     if tq is None:
         tq = default_time_quadrature()
-    u = evolve_range(f, tq)
-    return spacetime_lp(u, 6) / l2
-
-
-# ---------------------------------------------------------------------------
-# slice engine shared with the sextic form and the bilinear estimate
-# ---------------------------------------------------------------------------
-
-class _EvolvedInput:
-    """Precomputed transforms of one input for per-node slice evaluation."""
-
-    def __init__(self, f: WaveFunction):
-        if not isinstance(f.grid, UniformGrid):
-            raise GridMismatchError("expected a spatial-grid function")
-        self.grid = f.grid
-        self.values = f.values
-        self.fhat = forward_transform(f)
-        self.xi = self.fhat.grid.xi
-
-    def freq_slice(self, t: float, factored: bool) -> np.ndarray:
-        """Either e^{it xi^2} fhat (direct) or ghat_t (factored), both on the
-        dual grid."""
-        if factored:
-            return _chirp_profile(self.values, self.grid, t)
-        return _direct_slice(self.fhat.values, self.xi, t)
-
-    def space_slice(self, t: float) -> np.ndarray:
-        g = self.grid
-        return np.fft.ifft(
-            np.fft.ifftshift(np.exp(1j * g.x0 * self.xi) * _direct_slice(self.fhat.values, self.xi, t))
-        ) / g.dx
-
-
-def _product_slice_integral(inputs: list[_EvolvedInput], conj_count: int, t: float,
-                            factored: bool, power: float | None = None) -> complex:
-    """int conj(u_1 .. u_c) u_{c+1} .. u_m dx at time t, or, when power is
-    given, int |u_1 .. u_m|^power dx."""
-    grid = inputs[0].grid
-    m = len(inputs)
-    if factored:
-        rows = [inp.freq_slice(t, True) for inp in inputs]
-        if power is not None:
-            prod = np.abs(np.prod(rows, axis=0)) ** power
-            scale = (4.0 * np.pi * abs(t)) ** (-0.5 * m * power)
-        else:
-            prod = np.prod([np.conj(r) for r in rows[:conj_count]] + rows[conj_count:], axis=0)
-            scale = (4.0 * np.pi * abs(t)) ** (-0.5 * m)
-        dxi = grid.dual().dxi
-        return scale * 2.0 * abs(t) * dxi * prod.sum()
-    rows = [inp.space_slice(t) for inp in inputs]
-    if power is not None:
-        prod = np.abs(np.prod(rows, axis=0)) ** power
-    else:
-        prod = np.prod([np.conj(r) for r in rows[:conj_count]] + rows[conj_count:], axis=0)
-    return grid.dx * prod.sum()
-
-
-def _spacetime_product_integral(fields: list[WaveFunction], conj_count: int,
-                                tq: TimeQuadrature, switch: float | None = None,
-                                power: float | None = None) -> complex:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("all inputs must share one grid")
-    if switch is None:
-        switch = switch_time(fields, strict=False)
-    inputs = [_EvolvedInput(f) for f in fields]
-    total = 0.0 + 0.0j
-    for t, w in zip(tq.nodes, tq.weights):
-        total += w * _product_slice_integral(inputs, conj_count, t, abs(t) > switch, power)
-    return complex(total)
+    return _flow_lp_sum(f, FlowPlan(f.grid, tq), 6) ** (1.0 / 6.0) / l2
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +458,15 @@ def fourier_symmetry_check(f: WaveFunction, tq: TimeQuadrature | None = None) ->
     C = ||e^{it Delta} f||_6 / ||e^{it Delta} f^vee||_6, which is observed to
     be constant (= sqrt(2 pi) under these conventions) across inputs.
     """
-    l2 = lp_norm(f, 2)
-    if l2 == 0:
-        raise ValueError("fourier_symmetry_check requires a nonzero input")
     if tq is None:
         tq = default_time_quadrature()
     finv = _inverse_fourier_profile(f)
-    u_f = evolve_range(f, tq)
-    u_i = evolve_range(finv, tq)
-    n_f = spacetime_lp(u_f, 6)
-    n_i = spacetime_lp(u_i, 6)
+    ratio_f = strichartz_ratio(f, tq)
+    ratio_finv = strichartz_ratio(finv, tq)
     return FourierSymmetryResult(
-        ratio_f=n_f / l2,
-        ratio_finv=n_i / lp_norm(finv, 2),
-        fitted_c=n_f / n_i,
+        ratio_f=ratio_f,
+        ratio_finv=ratio_finv,
+        fitted_c=ratio_f * lp_norm(f, 2) / (ratio_finv * lp_norm(finv, 2)),
     )
 
 

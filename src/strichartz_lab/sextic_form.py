@@ -42,11 +42,7 @@ from .lattice import (
     forward_transform,
     warn_if_aliased,
 )
-from .propagator import (
-    TimeQuadrature,
-    _spacetime_product_integral,
-    default_time_quadrature,
-)
+from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature
 
 __all__ = [
     "KAPPA",
@@ -99,9 +95,8 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
         # sextic pointwise products spread the spectrum sixfold
         if warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="q_spacetime"):
             break
-    val = _spacetime_product_integral([f1, f2, f3, f4, f5, f6], conj_count=3,
-                                      tq=tq, switch=switch)
-    return KAPPA * val
+    fields = [f1, f2, f3, f4, f5, f6]
+    return KAPPA * FlowPlan(f1.grid, tq).integral(fields, switch, conj_count=3)
 
 
 def _hat_spline(f: WaveFunction):
@@ -312,7 +307,7 @@ def calibrate_kappa(inputs: list[WaveFunction], tq: TimeQuadrature | None = None
         tq = default_time_quadrature()
     ratios = []
     for f in inputs:
-        spacetime_raw = _spacetime_product_integral([f] * 6, conj_count=3, tq=tq)
+        spacetime_raw = FlowPlan(f.grid, tq).integral([f] * 6, conj_count=3)
         direct = q_quadrature(f, f, f, f, f, f, n_outer=n_outer, n_phi=n_phi)
         ratios.append((direct / spacetime_raw).real)
     ratios = np.array(ratios)

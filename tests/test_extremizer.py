@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strichartz_lab.extremizer import (
+    _resample_scaled,
     gauge_fix,
     lambda_apply,
     omega_of,
@@ -93,6 +94,17 @@ def test_gauge_fix_preserves_ratio(grid):
     assert strichartz_ratio(gauge_fix(f)) == pytest.approx(strichartz_ratio(f), abs=1e-6)
 
 
+@pytest.mark.parametrize("lam", [0.8, 1.05, 1.3])
+@pytest.mark.parametrize("a", [1.0, 1.0 + 0.5j])
+def test_resample_scaled_closed_form(grid, lam, a):
+    # the dense Fourier sum reaches ~1.4e-15 here; a chirp-z evaluation
+    # reaches only ~1.5e-11
+    x = grid.x
+    f = WaveFunction(grid, np.exp(-a * x ** 2 + 0.5j * x))
+    expected = np.sqrt(lam) * np.exp(-a * (lam * x) ** 2 + 0.5j * lam * x)
+    assert np.abs(_resample_scaled(f, lam) - expected).max() <= 1e-14
+
+
 def test_picard_from_gaussian_immediate(grid, gaussian, tq):
     result = picard_iterate(gaussian, tol=1e-8, max_steps=5, tq=tq)
     assert result.converged
@@ -113,6 +125,24 @@ def test_picard_unconverged_flagged(grid, tq):
     result = picard_iterate(bumpy, tol=1e-14, max_steps=2, tq=tq)
     assert not result.converged
     assert len(result.states) == 3  # initial + 2 steps, trajectory kept
+
+
+@pytest.mark.parametrize("bumpy, tol, max_steps, n_states", [
+    (False, 1e-8, 5, 2),   # converged
+    (True, 1e-14, 2, 3),   # unconverged after max_steps
+])
+def test_picard_states_match_functionals(grid, tq, bumpy, tol, max_steps, n_states):
+    # each state's ratio and omega come from the Lambda pass over that same
+    # iterate (or, for the last state, a separate pass); an off-by-one
+    # between the observed and the stored iterate shows here
+    x = grid.x
+    f0 = WaveFunction(grid, (1 + (0.5 * x if bumpy else 0.0)) * np.exp(-x ** 2))
+    result = picard_iterate(f0, tol=tol, max_steps=max_steps, tq=tq)
+    assert result.converged == (not bumpy)
+    assert len(result.states) == n_states
+    for st in result.states:
+        assert st.ratio == pytest.approx(strichartz_ratio(st.f, tq), rel=1e-14)
+        assert st.omega_estimate == pytest.approx(omega_of(st.f, tq), rel=1e-13)
 
 
 def test_picard_zero_start(grid, tq):

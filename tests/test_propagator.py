@@ -45,6 +45,19 @@ def test_time_quadrature_invariants():
         TimeQuadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
 
 
+def test_time_quadrature_hashable():
+    a = TimeQuadrature.compactified(33)
+    b = TimeQuadrature.compactified(33)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "rule"}[b] == "rule"
+    assert hash(default_time_quadrature()) == hash(TimeQuadrature.compactified(257))
+    # -0.0 and 0.0 nodes compare equal, so they must hash equal
+    neg = TimeQuadrature(nodes=np.array([-0.0, 1.0]), weights=np.array([1.0, 1.0]))
+    pos = TimeQuadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
+    assert neg == pos and hash(neg) == hash(pos)
+    assert a != TimeQuadrature.truncated(33, 1.0)
+
+
 def test_evolve_identity_at_zero(gaussian):
     u = evolve(gaussian, 0.0)
     np.testing.assert_allclose(u.values, gaussian.values, atol=1e-14)
@@ -91,6 +104,23 @@ def test_evolve_range_gaussian_rows(grid, gaussian):
         np.testing.assert_allclose(field.values[k], gaussian_flow(grid.x, t), atol=1e-9)
         assert grid.dx * np.sum(np.abs(field.values[k]) ** 2) == pytest.approx(
             lp_norm(gaussian, 2) ** 2, rel=1e-12)
+
+
+def test_evolve_range_ragged_blocks():
+    # 4 rows per block at n = 16384, so 9 nodes leave a one-row block in
+    # the direct run; rows must not depend on how the nodes are blocked
+    grid = UniformGrid.symmetric(n=16384, half_width=80.0)
+    f = make_gaussian(grid, a=1.0, b=0.5j)
+    tq = TimeQuadrature.compactified(9)
+    for switch in (np.inf, 0.5):
+        field = evolve_range(f, tq, switch=switch)
+        assert field.row_factored.sum() == (0 if switch == np.inf else 4)
+        for k, t in enumerate(tq.nodes):
+            single = evolve_range(f, TimeQuadrature.single(t), switch=switch)
+            np.testing.assert_allclose(field.values[k], single.values[0], rtol=0, atol=1e-15)
+            if not field.row_factored[k]:
+                np.testing.assert_allclose(field.values[k], evolve(f, t).values,
+                                           rtol=0, atol=1e-15)
 
 
 def test_factored_rows_reconstruct_direct_samples(grid, gaussian, tq):

@@ -52,6 +52,9 @@ def test_q_spacetime_diagonal_nonnegative(grid, rng, tq):
     q = q_spacetime(f, f, f, f, f, f, tq)
     assert abs(q.imag) <= 1e-10 * abs(q.real)
     assert q.real >= 0
+    # one object in all six slots is evolved once; six copies six times
+    copies = [f.copy() for _ in range(6)]
+    assert abs(q - q_spacetime(*copies, tq)) <= 1e-15 * abs(q)
 
 
 def test_kappa_calibration(grid, tq):
