@@ -33,7 +33,7 @@ from .lattice import (
     inverse_transform,
     lp_norm,
 )
-from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature, switch_time
+from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature
 
 __all__ = [
     "BandSpec",
@@ -109,31 +109,13 @@ def make_band_limited(grid: UniformGrid, spec: BandSpec, profile: str = "flat",
 
 def bilinear_l3(h1: WaveFunction, h2: WaveFunction, tq: TimeQuadrature | None = None,
                 switch: float | None = None) -> float:
-    """L^3 space-time norm of e^{it Delta} h_1 * e^{it Delta} h_2."""
+    """L^3 space-time norm of e^{it Delta} h_1 * e^{it Delta} h_2; switch
+    defaults to switch_time([h1, h2])."""
     if lp_norm(h1, 2) == 0 or lp_norm(h2, 2) == 0:
         return 0.0
     if tq is None:
         tq = default_time_quadrature()
-    if switch is None:
-        switch = _bilinear_switch(h1, h2)
     return float(FlowPlan(h1.grid, tq).integral([h1, h2], switch, power=3.0).real ** (1.0 / 3.0))
-
-
-def _bilinear_switch(h1: WaveFunction, h2: WaveFunction) -> float:
-    """Gauge crossover for a pair; hard-banded inputs have slowly decaying
-    spatial tails that fill the box, so fall back to a band-top estimate that
-    accepts the (already present) truncation level."""
-    try:
-        return switch_time([h1, h2])
-    except ValueError:
-        band_top = 0.0
-        for h in (h1, h2):
-            fhat = forward_transform(h)
-            mag = np.abs(fhat.values)
-            live = np.abs(fhat.grid.xi[mag > 1e-12 * mag.max()])
-            if live.size:
-                band_top = max(band_top, float(live.max()))
-        return _sweep_switch(h1.grid, band_top)
 
 
 def hausdorff_young_density(h1: WaveFunction, h2: WaveFunction) -> float:
@@ -239,11 +221,8 @@ def separation_sweep(s: float, Ns: list[float], profile: str = "flat", seed: int
             # geometry is still well defined as an annulus
             high_spec = BandSpec("annulus", lo=N * s, hi=2.0 * N * s)
         h2 = make_band_limited(grid, high_spec, profile, seed + 1)
-        # hard-banded data fills the box with slowly decaying tails; the
-        # factored gauge carries the whole box through the chirp
-        switch = _sweep_switch(grid, 2.0 * N * s)
         pair_tq = tq if tq is not None else pair_time_quadrature(max(N, 1.0), s)
-        values.append(bilinear_l3(h1, h2, pair_tq, switch=switch))
+        values.append(bilinear_l3(h1, h2, pair_tq))
         try:
             bounds.append(hausdorff_young_density(h1, h2))
         except ValueError:
@@ -260,15 +239,6 @@ def separation_sweep(s: float, Ns: list[float], profile: str = "flat", seed: int
         slope = float("nan")
     return SweepResult(s=s, profile=profile, seed=seed, ns=list(Ns), values=values,
                        bounds=bounds, slope=slope, excluded=excluded)
-
-
-def _sweep_switch(grid: UniformGrid, band_top: float) -> float:
-    half = 0.5 * grid.extent
-    room = 0.90 * grid.nyquist - band_top
-    if room <= 0:
-        raise ValueError("band too close to the Nyquist frequency")
-    t_factored = half / (2.0 * room)
-    return max(1.2 * t_factored, 0.05)
 
 
 def save_sweep(result: SweepResult, path) -> None:

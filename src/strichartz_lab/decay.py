@@ -52,18 +52,6 @@ class BandDecomposition:
     high: WaveFunction
     s: float
 
-    @property
-    def f_ll(self) -> WaveFunction:
-        return self.low
-
-    @property
-    def f_sim(self) -> WaveFunction:
-        return self.middle
-
-    @property
-    def f_gt(self) -> WaveFunction:
-        return self.high
-
 
 def _hat_side(f: WaveFunction) -> WaveFunction:
     return f if isinstance(f.grid, FrequencyGrid) else forward_transform(f)

@@ -96,8 +96,7 @@ def omega_of(f: WaveFunction, tq: TimeQuadrature | None = None) -> float:
     return float(KAPPA * strichartz_ratio(f, tq) ** 6 * l2 ** 4)
 
 
-def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None,
-                 switch: float | None = None) -> WaveFunction:
+def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None) -> WaveFunction:
     """Apply the quintic Euler-Lagrange map Lambda.
 
     Satisfies <g, Lambda f> = Q(g, f, f, f, f, f) for every test function g;
@@ -107,11 +106,10 @@ def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None,
         raise ValueError("lambda_apply requires a nonzero input")
     if tq is None:
         tq = default_time_quadrature()
-    return _lambda_with_l6(f, FlowPlan(f.grid, tq), switch)[0]
+    return _lambda_with_l6(f, FlowPlan(f.grid, tq))[0]
 
 
-def _lambda_with_l6(f: WaveFunction, plan: FlowPlan,
-                    switch: float | None = None) -> tuple[WaveFunction, float]:
+def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, float]:
     """Lambda f, and sum_k w_k int |u(., t_k)|^6 dx from the same rows.
 
     The Fresnel step of the factored rows is linear, so their spectra are
@@ -119,11 +117,9 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan,
     """
     # the quintic power spreads the spectrum fivefold
     warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="lambda_apply")
-    if switch is None:
-        switch = switch_time(f)
     direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
     sixth = 0.0
-    for sl, factored, (rows,) in plan.blocks([f], switch):
+    for sl, factored, (rows,) in plan.blocks([f], switch_time(f)):
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2
         sixth += _row_measure(plan.grid, plan.tq, sl, factored, 6) @ (quartic * power).sum(axis=-1)

@@ -15,9 +15,14 @@ factorization
 is used instead: the chirped profile lives on the original spatial support,
 so ghat_t is computable at spectral accuracy for arbitrarily large |t|.  All
 space-time integrals reduce to quadratures of ghat_t on the frequency grid
-with the Jacobian 2|t| and amplitude (4 pi |t|)^{-1/2} per factor.  The
-switch point is chosen per input from its spatial and spectral extents; both
-representations are accurate on an overlapping window of times.
+with the Jacobian 2|t| and amplitude (4 pi |t|)^{-1/2} per factor.
+
+One rule, switch_time, places the switch point from the inputs' spatial and
+spectral extents.  It returns a time inside the window where both
+representations are accurate; for an input that fills the box, so that the
+direct gauge wraps before the factored one resolves, it switches just past
+the factored bound with a warning; and when the spectrum reaches the band
+edge, so that the factored gauge never resolves, it raises.
 
 Every evaluation of the flow goes through one block engine, FlowPlan.  It
 evolves its inputs over runs of nodes in one gauge, one batched FFT per
@@ -159,6 +164,10 @@ def default_grid() -> UniformGrid:
 # gauge crossover
 # ---------------------------------------------------------------------------
 
+#: (band margin, mass tail) of the crossover windows, tried in order
+_WINDOWS = ((0.90, 1e-12), (0.95, 1e-3))
+
+
 def _gauge_crossover(fields, box_margin: float, band_margin: float,
                      mass_tail: float) -> tuple[float, float]:
     """(t_factored_min, t_direct_max) for the given extent tolerance."""
@@ -183,44 +192,42 @@ def _gauge_crossover(fields, box_margin: float, band_margin: float,
     return float(t_factored), float(t_direct)
 
 
-def switch_time(fields, strict: bool = True) -> float:
+def switch_time(fields) -> float:
     """Crossover time between the direct and factored gauges for the given
     spatial-grid functions (a WaveFunction or an iterable of them).
 
     Below the returned time the periodized multiplier solution has not yet
-    wrapped; above it the chirped profile is resolvable on the grid.  Tries
-    a strict (1e-12 mass tails) estimate, then a coarse one; profiles that
-    defeat both (spectrum and support both filling the grid, e.g. sharp
-    indicators) fall back to the direct-wrap horizon with a warning, which
-    is accurate at the few-1e-4 level in practice.  strict=True raises
-    instead of falling back.
+    wrapped; above it the chirped profile is resolvable on the grid.  The
+    rows of _WINDOWS are tried in turn, and the first window where both hold
+    gives its geometric mean.  An input that fills the box (hard-banded data,
+    whose slowly decaying tails wrap the direct gauge at once) has no window;
+    it switches at 1.2 times the first finite factored bound, with an
+    AliasingWarning.  A spectrum reaching the band edge leaves no finite
+    bound and raises ValueError.
     """
     if isinstance(fields, WaveFunction):
         fields = [fields]
     fields = list(fields)
     if not isinstance(fields[0].grid, UniformGrid):
         raise GridMismatchError("switch_time expects spatial-grid functions")
-    t_fact, t_direct = _gauge_crossover(fields, 0.98, 0.90, 1e-12)
-    if t_fact < t_direct:
-        return float(np.sqrt(t_fact * t_direct)) if t_fact > 0 else 0.5 * t_direct
-    t_fact, t_direct = _gauge_crossover(fields, 0.98, 0.95, 1e-3)
-    if t_fact < t_direct:
-        return float(np.sqrt(t_fact * t_direct)) if t_fact > 0 else 0.5 * t_direct
-    if strict:
-        raise ValueError(
-            f"no valid gauge crossover: factored gauge needs |t| >= {t_fact:.3g} "
-            f"but the direct gauge wraps at |t| ~ {t_direct:.3g}; enlarge the grid"
-        )
-    grid = fields[0].grid
-    fallback = max(t_direct, 0.25 * grid.extent / (4.0 * grid.nyquist))
+    bounds = []
+    for band_margin, mass_tail in _WINDOWS:
+        t_fact, t_direct = _gauge_crossover(fields, 0.98, band_margin, mass_tail)
+        if t_fact < t_direct:
+            return float(np.sqrt(t_fact * t_direct)) if t_fact > 0 else 0.5 * t_direct
+        bounds.append(t_fact)
+    finite = [t for t in bounds if np.isfinite(t)]
+    if not finite:
+        raise ValueError("no valid gauge crossover: the spectrum reaches the band edge, "
+                         "so the factored gauge never resolves; refine the grid")
     warnings.warn(
-        "input fills both the spatial box and the frequency band; far-time "
-        f"evaluation falls back to the wrap horizon t = {fallback:.3g} and is "
-        "accurate only to the input's own truncation level",
+        "no gauge crossover window: the input fills the box, so the direct gauge "
+        f"wraps before the factored gauge resolves at |t| >= {finite[0]:.3g}; "
+        "switching at 1.2 x that, accurate only to the input's own truncation level",
         AliasingWarning,
         stacklevel=2,
     )
-    return float(fallback)
+    return 1.2 * finite[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +283,17 @@ class FlowPlan:
     def _phases(self, kind: str, sl: slice) -> np.ndarray:
         t = self.tq.nodes[sl, None]
         if kind == "flow":
-            return np.exp(1j * t * self._xi2)
+            z = 1j * t * self._xi2
+            return np.exp(z, out=z)
         # 1/4t; a t = 0 node is never factored, so its row is never read
         s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
         if kind == "chirp":
-            return self._sign * np.exp(-1j * s * self._x2)
-        return np.exp(1j * s * self._eta2)
+            z = -1j * s * self._x2
+            np.exp(z, out=z)
+            z *= self._sign
+            return z
+        z = 1j * s * self._eta2
+        return np.exp(z, out=z)
 
     def blocks(self, fields, switch: float):
         """Evolve fields over runs of at most block_rows nodes in one gauge
@@ -300,26 +312,32 @@ class FlowPlan:
                 sl = slice(start, min(start + self.block_rows, b))
                 if factored[a]:
                     chirp = self.table("chirp", sl)
-                    rows = {key: scipy.fft.fft(chirp * v, axis=-1) * self.phase
+                    rows = {key: scipy.fft.fft(chirp * v, axis=-1, overwrite_x=True)
                             for key, v in distinct.items()}
+                    for r in rows.values():
+                        r *= self.phase
                 else:
                     flow = self.table("flow", sl)
-                    rows = {key: scipy.fft.ifft(flow * spectra[key], axis=-1) for key in distinct}
+                    rows = {key: scipy.fft.ifft(flow * spectra[key], axis=-1, overwrite_x=True)
+                            for key in distinct}
                 yield sl, bool(factored[a]), [rows[id(f)] for f in fields]
+                del rows  # free this block before the next is built
 
     def integral(self, fields, switch: float | None = None, conj_count: int = 0,
                  power: float | None = None) -> complex:
         """sum_k w_k int conj(u_1 .. u_c) u_{c+1} .. u_m dx, or sum_k w_k int |u_1 .. u_m|^power
-        dx when power is given; switch defaults to the inputs' non-strict crossover."""
+        dx when power is given; switch defaults to the inputs' switch_time."""
         if switch is None:
-            switch = switch_time(fields, strict=False)
+            switch = switch_time(fields)
         degree = len(fields) * (1.0 if power is None else power)
         total = 0.0 + 0.0j
         for sl, factored, rows in self.blocks(fields, switch):
             prod = reduce(np.multiply, [np.conj(r) for r in rows[:conj_count]] + rows[conj_count:])
             if power is not None:
-                prod = np.abs(prod) ** power
+                prod = np.abs(prod)
+                prod **= power
             total += _row_measure(self.grid, self.tq, sl, factored, degree) @ prod.sum(axis=-1)
+            del rows, prod
         return complex(total)
 
 
@@ -393,14 +411,14 @@ def evolve_range(f: WaveFunction, tq: TimeQuadrature, switch: float | None = Non
                  check_aliasing: bool = True) -> SpaceTimeField:
     """Evolve f to every quadrature node.
 
-    switch is the gauge crossover time; None computes it from f, and
+    switch is the gauge crossover time; None takes switch_time(f), and
     numpy.inf forces direct rows everywhere (only sensible when all nodes sit
     below the wrap horizon).
     """
     if check_aliasing:
         warn_if_aliased(f, band_fraction=7.0 / 8.0, tol=1e-8, context="evolve_range")
     if switch is None:
-        switch = switch_time(f, strict=False)
+        switch = switch_time(f)
     values = np.empty((len(tq.nodes), f.grid.n), dtype=complex)
     for sl, _, (rows,) in FlowPlan(f.grid, tq).blocks([f], switch):
         values[sl] = rows

@@ -83,7 +83,7 @@ def weight(xi, w: WeightParams):
 
 def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
                 f4: WaveFunction, f5: WaveFunction, f6: WaveFunction,
-                tq: TimeQuadrature | None = None, switch: float | None = None) -> complex:
+                tq: TimeQuadrature | None = None) -> complex:
     """Q evaluated through the flow: KAPPA * int int conj(u1 u2 u3) u4 u5 u6.
 
     Conjugate-linear in slots 1-3, linear in slots 4-6; real and nonnegative
@@ -96,7 +96,7 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
         if warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="q_spacetime"):
             break
     fields = [f1, f2, f3, f4, f5, f6]
-    return KAPPA * FlowPlan(f1.grid, tq).integral(fields, switch, conj_count=3)
+    return KAPPA * FlowPlan(f1.grid, tq).integral(fields, conj_count=3)
 
 
 def _hat_spline(f: WaveFunction):

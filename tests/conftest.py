@@ -28,6 +28,14 @@ def unit_gaussian(grid):
 
 
 @pytest.fixture()
+def band_edge(grid):
+    """Half of the spectrum sits at the Nyquist frequency: no gauge resolves it."""
+    spiky = np.zeros(grid.n, dtype=complex)
+    spiky[::2] = 1.0
+    return WaveFunction(grid, spiky)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
 

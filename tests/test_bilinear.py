@@ -12,6 +12,7 @@ from strichartz_lab.bilinear import (
     sweep_grid,
 )
 from strichartz_lab.lattice import (
+    AliasingWarning,
     UniformGrid,
     WaveFunction,
     forward_transform,
@@ -19,10 +20,18 @@ from strichartz_lab.lattice import (
     make_gaussian,
 )
 from strichartz_lab.propagator import (
+    TimeQuadrature,
+    _gauge_crossover,
     default_time_quadrature,
     evolve_range,
     spacetime_lp,
+    switch_time,
 )
+
+#: separation_sweep(1.0, [8, 16, 32], profile="random", seed=1).values at
+#: commit 1251166, whose sweep used a band-top switch of its own
+SWEEP_RANDOM_VALUES = tuple(map(float.fromhex, (
+    "0x1.3d35de74fe9c6p-4", "0x1.ed59ebe2b4713p-5", "0x1.87a4cf6cfe71cp-5")))
 
 
 def test_band_spec_bounds():
@@ -175,3 +184,29 @@ def test_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1] == "N,value,bound,slope_so_far,log10_N,log10_value"
     assert len(lines) == 2 + 2
+
+
+def test_band_edge_pair_raises(band_edge):
+    with pytest.raises(ValueError, match="band edge"):
+        bilinear_l3(band_edge, band_edge)
+
+
+def test_box_filling_pair_switches_past_factored_bound():
+    # hard random bands shed tails that fill the box at both mass tails
+    g = sweep_grid(16, 1.0)
+    h1 = make_band_limited(g, BandSpec("low", s=1.0), "random", 1)
+    h2 = make_band_limited(g, BandSpec("high", s=1.0, N=16), "random", 2)
+    t_fact, t_direct = _gauge_crossover([h1, h2], 0.98, 0.90, 1e-12)
+    assert t_direct == 0.0 and np.isfinite(t_fact)
+    with pytest.warns(AliasingWarning, match="fills the box"):
+        assert switch_time([h1, h2]) == 1.2 * t_fact
+    tq = TimeQuadrature.compactified(65, rate=16.0)
+    with pytest.warns(AliasingWarning, match="fills the box"):
+        value = bilinear_l3(h1, h2, tq)
+    assert value == bilinear_l3(h1, h2, tq, switch=1.2 * t_fact)
+
+
+def test_separation_sweep_matches_recorded_values():
+    with pytest.warns(AliasingWarning, match="fills the box"):
+        res = separation_sweep(1.0, [8, 16, 32], profile="random", seed=1)
+    assert res.values == pytest.approx(SWEEP_RANDOM_VALUES, rel=1e-15, abs=0.0)

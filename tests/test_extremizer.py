@@ -10,6 +10,7 @@ from strichartz_lab.extremizer import (
     save_trajectory,
 )
 from strichartz_lab.lattice import (
+    AliasingWarning,
     WaveFunction,
     inner_product,
     lp_norm,
@@ -175,3 +176,8 @@ def test_trajectory_csv(tmp_path, gaussian, tq):
     lines = path.read_text().splitlines()
     assert lines[1] == "step,delta,ratio,omega"
     assert len(lines) == 2 + len(result.states)
+
+
+def test_lambda_apply_band_edge_raises(band_edge):
+    with pytest.warns(AliasingWarning), pytest.raises(ValueError, match="band edge"):
+        lambda_apply(band_edge)

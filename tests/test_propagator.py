@@ -193,6 +193,13 @@ def test_switch_time_overlap(grid, gaussian):
     assert 0.05 < t_switch < 0.6
 
 
+def test_band_edge_input_has_no_crossover(band_edge):
+    with pytest.raises(ValueError, match="band edge"):
+        switch_time(band_edge)
+    with pytest.warns(AliasingWarning), pytest.raises(ValueError, match="band edge"):
+        strichartz_ratio(band_edge)
+
+
 def test_fourier_symmetry_constant_across_inputs(grid, gaussian):
     res_g = fourier_symmetry_check(gaussian)
     hermite = WaveFunction(grid, (1 + 0.3 * grid.x + 0.2 * grid.x ** 2)
