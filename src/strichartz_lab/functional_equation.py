@@ -16,13 +16,12 @@ negative-definite quadratic part (a Gaussian).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .lattice import UniformGrid, WaveFunction, sample_offgrid
+from .lattice import UniformGrid, WaveFunction, sample_offgrid, warn_at_caller
 
 __all__ = [
     "ConstraintSextuple",
@@ -205,11 +204,10 @@ def _unwrap_from(idx: int, phase: np.ndarray, jump_tol: float = 0.5 * np.pi) -> 
     """Unwrap wrapped phases cumulatively outward from index idx."""
     diffs = np.angle(np.exp(1j * np.diff(phase)))
     if diffs.size and np.abs(diffs).max() > jump_tol:
-        warnings.warn(
+        warn_at_caller(
             f"adjacent-sample phase jumps up to {np.abs(diffs).max():.3f} rad "
             "exceed pi/2; unwrapping may be ambiguous",
             PhaseUnwrapWarning,
-            stacklevel=3,
         )
     out = np.empty_like(phase)
     out[idx] = phase[idx]

@@ -11,6 +11,8 @@ carried explicitly; nothing here is unitarily normalized.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +44,14 @@ class GridMismatchError(ValueError):
 
 class AliasingWarning(UserWarning):
     """Input carries significant spectral mass near the band-limit."""
+
+
+def warn_at_caller(message: str, category: type[Warning]) -> None:
+    """warnings.warn naming the first frame outside this package, the user's call."""
+    package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -226,11 +236,10 @@ def warn_if_aliased(f: WaveFunction, band_fraction: float = 1.0 / 6.0, tol: floa
     frac = spectral_tail_fraction(f, band_fraction * f.grid.nyquist)
     if frac > tol:
         where = f" in {context}" if context else ""
-        warnings.warn(
+        warn_at_caller(
             f"spectral tail mass {frac:.3e} beyond {band_fraction:.3g} of the "
             f"band limit{where}; pointwise products may alias",
             AliasingWarning,
-            stacklevel=2,
         )
         return True
     return False

@@ -38,7 +38,6 @@ Gauss-Legendre nodes in theta.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -55,6 +54,7 @@ from .lattice import (
     l2_mass_radius,
     lp_norm,
     sample_offgrid,
+    warn_at_caller,
     warn_if_aliased,
 )
 
@@ -220,12 +220,11 @@ def switch_time(fields) -> float:
     if not finite:
         raise ValueError("no valid gauge crossover: the spectrum reaches the band edge, "
                          "so the factored gauge never resolves; refine the grid")
-    warnings.warn(
+    warn_at_caller(
         "no gauge crossover window: the input fills the box, so the direct gauge "
         f"wraps before the factored gauge resolves at |t| >= {finite[0]:.3g}; "
         "switching at 1.2 x that, accurate only to the input's own truncation level",
         AliasingWarning,
-        stacklevel=2,
     )
     return 1.2 * finite[0]
 

@@ -24,11 +24,17 @@ independent evaluation routes cross-validate each other:
   by parametrizing xi_4 by the angle on the constraint circle:
   xi_4 = sigma/3 + h sin(phi), under which d(xi_4) / (2 sqrt(2T - S^2))
   becomes d(phi) / (2 sqrt 3) with the roots at
-  (sigma - xi_4)/2 +- (sqrt 3 / 2) h cos(phi).
+  (sigma - xi_4)/2 +- (sqrt 3 / 2) h cos(phi).  Factors are read off the
+  quintic spline of each input's frequency samples, kept as a per-cell
+  Taylor table (_hat_spline) and evaluated by one index lookup and a Horner
+  step; cells touching an exact zero sample read zero.  Tables at the same
+  points share one lookup, and an input in both root slots is evaluated
+  once per root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,40 +105,45 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
     return KAPPA * FlowPlan(f1.grid, tq).integral(fields, conj_count=3)
 
 
-def _hat_spline(f: WaveFunction):
-    """Quintic spline of the frequency samples, zero outside the grid span.
+def _hat_spline(f: WaveFunction) -> tuple[np.ndarray, WaveFunction]:
+    """Taylor table of the quintic spline of the frequency samples, and fhat.
 
-    Points whose neighboring samples are exact zeros evaluate to zero: for
-    hard-banded inputs this suppresses the spline's ringing into the band
-    gap, which would otherwise contribute spurious mass to absolute-value
-    integrands.
+    make_interp_spline(xi, fhat, k=5) has its knots at samples, so it is one
+    quintic on each cell [xi_l, xi_{l+1}]: column l of the (6, n) table holds
+    a_{l,m} = s^{(m)}(xi_l+) dxi^m / m!, and s(xi_l + u dxi) = sum_m a_{l,m} u^m.
+    The last column, where _cells sends points outside the span, is zero, and
+    so is a cell with an exact zero sample at either end: for hard-banded
+    inputs this suppresses the spline's ringing into the band gap, which would
+    otherwise add spurious mass to absolute-value integrands.
     """
-    if isinstance(f.grid, FrequencyGrid):
-        fhat = f
-    else:
-        fhat = forward_transform(f)
+    fhat = f if isinstance(f.grid, FrequencyGrid) else forward_transform(f)
     xi = fhat.grid.xi
     spl = make_interp_spline(xi, fhat.values, k=5)
-    lo, hi = xi[0], xi[-1]
-    support = fhat.values != 0
-    full_support = bool(support.all())
-    dxi = fhat.grid.dxi
-    n = fhat.grid.n
+    table = np.zeros((6, fhat.grid.n), dtype=complex)
+    for m in range(6):
+        table[m, :-1] = spl(xi[:-1], nu=m) * (fhat.grid.dxi ** m / math.factorial(m))
+    live = fhat.values != 0
+    table[:, :-1][:, ~(live[:-1] & live[1:])] = 0.0
+    return table, fhat
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape, dtype=complex)
-        inside = (pts >= lo) & (pts <= hi)
-        if not inside.any():
-            return out
-        vals = spl(pts[inside])
-        if not full_support:
-            left = np.clip(np.floor((pts[inside] - lo) / dxi).astype(int), 0, n - 1)
-            right = np.clip(left + 1, 0, n - 1)
-            vals = np.where(support[left] & support[right], vals, 0.0)
-        out[inside] = vals
-        return out
 
-    return evaluate, fhat
+def _cells(grid: FrequencyGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table column and offset u in [0, 1) of each point; points outside
+    [xi_0, xi_{n-1}) get column -1 or n - 1, the zero column."""
+    u = (pts - grid.xi[0]) / grid.dxi
+    col = np.floor(u)
+    u -= col
+    return np.clip(col, -1, grid.n - 1, out=col).astype(np.intp), u
+
+
+def _interpolate(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The spline of a _hat_spline table at looked-up points (Horner in u)."""
+    col, u = cells
+    out = table[5].take(col)
+    for row in table[4::-1]:
+        out *= u
+        out += row.take(col)
+    return out
 
 
 def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[float, float]]:
@@ -149,13 +160,9 @@ def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[
     if top == 0:
         return [(-pad, pad)]
     live = mag > rel_floor * top
-    edges = np.diff(live.astype(int))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1))
-    if live[0]:
-        starts.insert(0, 0)
-    if live[-1]:
-        ends.append(fhat.grid.n - 1)
+    edges = np.diff(np.concatenate([[0], live.astype(int), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
     panels = [[xi[a] - pad, xi[b] + pad] for a, b in zip(starts, ends)]
     # merge panels separated by less than a few cells
     merged = [panels[0]]
@@ -171,61 +178,76 @@ def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[
 def _axis_rule(fhat: WaveFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights over the support panels of fhat."""
     z, wz = leggauss(n_nodes)
-    nodes = []
-    weights = []
-    for lo, hi in _support_panels(fhat):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes.append(mid + half * z)
-        weights.append(half * wz)
-    return np.concatenate(nodes), np.concatenate(weights)
+    panels = _support_panels(fhat)
+    return (np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi in panels]),
+            np.concatenate([0.5 * (hi - lo) * wz for lo, hi in panels]))
 
 
-def _constraint_quadrature(hat_evals, axes, n_phi: int, exponent=None) -> complex:
+def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
+                           exponent=None) -> complex:
     """Shared engine for q_quadrature and m_weighted.
 
-    hat_evals: six callables returning (possibly conjugated / absolute)
-    factor values; slots 0-2 are the outer tensor directions (axes holds one
-    (nodes, weights) rule per slot), slot 3 the angular variable, slots 4-5
-    the constraint roots.  exponent, when given, is a callable
-    (eta1, .., eta6) -> real array added as exp(.) under the integral.
-    Summation is plain nested numpy reduction in a fixed order, so results
-    are reproducible bit for bit.
+    fs holds the six inputs: slots 0-2 are the outer tensor directions, slot
+    3 the angular variable, slots 4-5 the constraint roots.  Each distinct
+    input object gets one _hat_spline table; factors are conjugated in slots
+    0-2, or all taken in absolute value when absolute is set.  With one object
+    in slots 4-5 the pairing e(p) e(q) + e(q) e(p) comes from its two
+    evaluations, bit for bit what two copies give.  exponent, when given, is
+    a callable (eta1, .., eta6) -> real array added as exp(.) under the
+    integral.  Summation is plain nested numpy reduction in a fixed order, so
+    results are reproducible bit for bit.
     """
-    pz, pw = leggauss(n_phi)
-    phi = 0.5 * np.pi * pz
-    wphi = 0.5 * np.pi * pw
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
+    distinct = {id(f): f for f in fs}
+    tables = {key: _hat_spline(f) for key, f in distinct.items()}
+    fhats = [tables[id(f)][1] for f in fs]
+    grid = fhats[0].grid
+    if any(fh.grid != grid for fh in fhats):
+        raise GridMismatchError("all inputs must share one grid")
+    axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
+    t1, t2, t3, t4, t5, t6 = (tables[id(f)][0] for f in fs)
 
-    n1 = axes[0][0]
+    def values(table, cells):
+        vals = _interpolate(table, cells)
+        return np.abs(vals) if absolute else vals
+
+    pz, pw = leggauss(n_phi)
+    wphi = 0.5 * np.pi * pw
+    sin_phi, cos_phi = np.sin(0.5 * np.pi * pz), np.cos(0.5 * np.pi * pz)
+
     x2, x3 = np.meshgrid(axes[1][0], axes[2][0], indexing="ij")
     w23 = np.outer(axes[1][1], axes[2][1])
-
-    e1, e2, e3, e4, e5, e6 = hat_evals
-    f2_vals = e2(x2[:, 0])
-    f3_vals = e3(x3[0, :])
+    outer_vals = [_interpolate(t, _cells(grid, ax[0])) for t, ax in zip((t1, t2, t3), axes)]
+    f1_vals, f2_vals, f3_vals = (np.abs(v) if absolute else np.conj(v) for v in outer_vals)
     outer23 = np.outer(f2_vals, f3_vals)
 
     total = 0.0 + 0.0j
-    for x1, w1 in zip(n1, axes[0][1]):
+    for x1, w1, f1 in zip(*axes[0], f1_vals):
         sigma = x1 + x2 + x3
         tau = x1 ** 2 + x2 ** 2 + x3 ** 2
         h = np.sqrt(np.maximum(2.0 * tau - 2.0 * sigma ** 2 / 3.0, 0.0) / 3.0)
         xi4 = sigma[..., None] / 3.0 + h[..., None] * sin_phi
         half_gap = 0.5 * np.sqrt(3.0) * h[..., None] * cos_phi
         mid = 0.5 * (sigma[..., None] - xi4)
-        p = mid + half_gap
-        q = mid - half_gap
-        f4 = e4(xi4)
-        pairing = e5(p) * e6(q) + e5(q) * e6(p)
-        integrand = f4 * pairing
+        p, q = mid + half_gap, mid - half_gap
+        del mid, half_gap
         if exponent is not None:
-            integrand = integrand * np.exp(
-                exponent(x1, x2[..., None], x3[..., None], xi4, p, q)
-            )
-        inner = (integrand * wphi).sum(axis=-1) / (2.0 * np.sqrt(3.0))
-        total += w1 * e1(np.atleast_1d(x1))[0] * (w23 * outer23 * inner).sum()
+            factor = np.exp(exponent(x1, x2[..., None], x3[..., None], xi4, p, q))
+        integrand = values(t4, _cells(grid, xi4))
+        at_p, at_q = _cells(grid, p), _cells(grid, q)
+        del xi4, p, q
+        pairing = values(t5, at_p) * values(t6, at_q)
+        if fs[4] is fs[5]:
+            pairing += pairing
+        else:
+            pairing += values(t5, at_q) * values(t6, at_p)
+        del at_p, at_q
+        integrand *= pairing
+        del pairing
+        if exponent is not None:
+            integrand *= factor
+            del factor
+        integrand *= wphi
+        total += w1 * f1 * (w23 * outer23 * (integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)))).sum()
     return complex(total)
 
 
@@ -237,27 +259,7 @@ def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
     Agrees with q_spacetime to quadrature tolerance; the two routes are
     mutually independent oracles.
     """
-    splines = []
-    fhats = []
-    for f in (f1, f2, f3, f4, f5, f6):
-        ev, fhat = _hat_spline(f)
-        splines.append(ev)
-        fhats.append(fhat)
-    grid0 = fhats[0].grid
-    for fh in fhats[1:]:
-        if fh.grid != grid0:
-            raise GridMismatchError("all inputs must share one grid")
-    axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
-    s1, s2, s3, s4, s5, s6 = splines
-    hat_evals = (
-        lambda v: np.conj(s1(v)),
-        lambda v: np.conj(s2(v)),
-        lambda v: np.conj(s3(v)),
-        s4,
-        s5,
-        s6,
-    )
-    return _constraint_quadrature(hat_evals, axes, n_phi)
+    return _constraint_quadrature((f1, f2, f3, f4, f5, f6), n_outer, n_phi)
 
 
 def m_weighted(h1: WaveFunction, h2: WaveFunction, h3: WaveFunction,
@@ -271,25 +273,15 @@ def m_weighted(h1: WaveFunction, h2: WaveFunction, h3: WaveFunction,
     eta_1^2 <= eta_2^2 + .. + eta_6^2, so the exponential factor is <= 1 and
     the weighted form never exceeds the unweighted one.
     """
-    for h in (h1, h2, h3, h4, h5, h6):
-        if not isinstance(h.grid, FrequencyGrid):
-            raise GridMismatchError("m_weighted expects frequency-grid inputs")
-    splines = []
-    fhats = []
-    for h in (h1, h2, h3, h4, h5, h6):
-        ev, fhat = _hat_spline(h)
-        splines.append(ev)
-        fhats.append(fhat)
-    axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
-    hat_evals = tuple(
-        (lambda ev: (lambda v: np.abs(ev(v))))(ev) for ev in splines
-    )
+    hs = (h1, h2, h3, h4, h5, h6)
+    if not all(isinstance(h.grid, FrequencyGrid) for h in hs):
+        raise GridMismatchError("m_weighted expects frequency-grid inputs")
 
     def exponent(e1, e2, e3, e4, e5, e6):
         return (weight(e1, w) - weight(e2, w) - weight(e3, w)
                 - weight(e4, w) - weight(e5, w) - weight(e6, w))
 
-    val = _constraint_quadrature(hat_evals, axes, n_phi, exponent=exponent)
+    val = _constraint_quadrature(hs, n_outer, n_phi, absolute=True, exponent=exponent)
     return float(val.real)
 
 

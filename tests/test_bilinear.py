@@ -206,6 +206,15 @@ def test_box_filling_pair_switches_past_factored_bound():
     assert value == bilinear_l3(h1, h2, tq, switch=1.2 * t_fact)
 
 
+def test_box_filling_warning_names_the_caller():
+    g = sweep_grid(16, 1.0)
+    h1 = make_band_limited(g, BandSpec("low", s=1.0), "random", 1)
+    h2 = make_band_limited(g, BandSpec("high", s=1.0, N=16), "random", 2)
+    with pytest.warns(AliasingWarning, match="fills the box") as record:
+        bilinear_l3(h1, h2, TimeQuadrature.compactified(65, rate=16.0))
+    assert {w.filename for w in record} == {__file__}
+
+
 def test_separation_sweep_matches_recorded_values():
     with pytest.warns(AliasingWarning, match="fills the box"):
         res = separation_sweep(1.0, [8, 16, 32], profile="random", seed=1)

@@ -236,6 +236,16 @@ def test_bootstrap_inequality_chain_saturates_for_gaussian(grid, gaussian):
     assert lhs == pytest.approx(rhs, rel=0.3)
 
 
+#: m_weighted(h_gt, h, .., h) of _weighted_tail_chain on the Gaussian at
+#: commit 3204666, whose quadrature evaluated the splines point by point
+TAIL_CHAIN_M_GAUSSIAN = 0.024797993668923764
+
+
+def test_weighted_tail_chain_matches_recorded_value(grid, gaussian):
+    _, rhs, _ = _weighted_tail_chain(grid, gaussian)
+    assert rhs == pytest.approx(TAIL_CHAIN_M_GAUSSIAN, rel=1e-13, abs=0.0)
+
+
 def test_bootstrap_inequality_chain_strict_for_generic_profile(grid):
     # seeded profile whose phase cancellation is far above the edge-cell
     # quadrature budget, so the <= direction is tested with a real margin

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
+from strichartz_lab.decay import band_decompose
 from strichartz_lab.lattice import (
+    AliasingWarning,
+    GridMismatchError,
+    UniformGrid,
     WaveFunction,
     forward_transform,
     lp_norm,
@@ -14,6 +19,9 @@ from strichartz_lab.sextic_form import (
     calibrate_kappa,
     m_weighted,
     q_quadrature,
+    _cells,
+    _hat_spline,
+    _interpolate,
     q_spacetime,
     weight,
 )
@@ -177,3 +185,49 @@ def test_m_weighted_requires_frequency_grid(gaussian):
     with pytest.raises(Exception):
         m_weighted(gaussian, gaussian, gaussian, gaussian, gaussian, gaussian,
                    WeightParams(0.0, 0.0))
+
+
+def test_q_spacetime_aliasing_warning_names_the_caller(grid):
+    narrow = make_gaussian(grid, a=40.0)
+    with pytest.warns(AliasingWarning, match="q_spacetime") as record:
+        q_spacetime(narrow, narrow, narrow, narrow, narrow, narrow)
+    assert {w.filename for w in record} == {__file__}
+
+
+@pytest.mark.parametrize("piece", ["smooth", "banded"])
+def test_hat_spline_table_matches_bspline(grid, piece):
+    rng = np.random.default_rng(17)
+    fhat = forward_transform(random_band_limited(grid, rng))
+    if piece == "banded":
+        fhat = band_decompose(fhat, 2.0).middle
+    table, _ = _hat_spline(fhat)
+    xi = fhat.grid.xi
+    pts = rng.uniform(xi[0], xi[-1], 10_000)
+    vals = _interpolate(table, _cells(fhat.grid, pts))
+    ref = make_interp_spline(xi, fhat.values, k=5)(pts)
+    cell = np.floor((pts - xi[0]) / fhat.grid.dxi).astype(int)
+    live = (fhat.values[cell] != 0) & (fhat.values[cell + 1] != 0)
+    assert np.abs(vals - ref)[live].max() <= 1e-13 * np.abs(fhat.values).max()
+    assert np.all(vals[~live] == 0)
+    assert live.all() if piece == "smooth" else 0 < live.sum() < live.size
+    outside = np.concatenate([xi[0] - rng.uniform(0, 50, 100), xi[-1] + rng.uniform(0, 50, 100)])
+    assert np.all(_interpolate(table, _cells(fhat.grid, outside)) == 0)
+
+
+def test_quadrature_slot_reuse_equals_copies(grid, rng):
+    f = random_band_limited(grid, rng)
+    copies = [f.copy() for _ in range(6)]
+    assert q_quadrature(f, f, f, f, f, f, 24, 24) == q_quadrature(*copies, 24, 24)
+    h = forward_transform(f)
+    h_gt = band_decompose(h, 2.0).high
+    w = WeightParams(0.0625, 1.0)
+    hs = [h.copy() for _ in range(5)]
+    assert (m_weighted(h_gt, h, h, h, h, h, w, n_outer=24, n_phi=24)
+            == m_weighted(h_gt, *hs, w, n_outer=24, n_phi=24))
+
+
+def test_m_weighted_requires_one_grid(grid):
+    g = forward_transform(make_gaussian(grid))
+    other = forward_transform(make_gaussian(UniformGrid.symmetric(n=512, half_width=20.0)))
+    with pytest.raises(GridMismatchError):
+        m_weighted(g, g, g, g, g, other, WeightParams(0.0, 0.0), n_outer=8, n_phi=8)
