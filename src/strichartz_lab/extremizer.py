@@ -116,7 +116,7 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     summed first and transformed back once.
     """
     # the quintic power spreads the spectrum fivefold
-    warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="lambda_apply")
+    warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
     direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
     sixth = 0.0
     for sl, factored, (rows,) in plan.blocks([f], switch_time(f)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -85,29 +86,26 @@ def constraint_circle(x: float, y: float, z: float, theta: float) -> ConstraintS
 
 
 def _as_evaluator(f):
-    if isinstance(f, WaveFunction):
-        wf = f
+    return partial(sample_offgrid, f) if isinstance(f, WaveFunction) else f
 
-        def evaluate(pts):
-            return sample_offgrid(wf, pts)
 
-        return evaluate
-    return f
+def _relative_defect(vals: np.ndarray) -> np.ndarray:
+    """|lhs - rhs| / (|lhs| + |rhs| + floor) over the last axis (x, y, z, a, b, c),
+    with lhs = f(x)f(y)f(z) and rhs = f(a)f(b)f(c)."""
+    lhs = vals[..., 0] * vals[..., 1] * vals[..., 2]
+    rhs = vals[..., 3] * vals[..., 4] * vals[..., 5]
+    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + _RESIDUAL_FLOOR)
 
 
 def product_residual(f, cs: ConstraintSextuple) -> float:
     """Relative defect of f(x)f(y)f(z) = f(a)f(b)f(c) at one constraint point.
 
-    f may be a callable or a WaveFunction (evaluated off-grid by order-6
-    local polynomial interpolation).  A tiny floor keeps the ratio defined
-    when both products vanish.
+    f may be a callable or a WaveFunction (evaluated off-grid by
+    lattice.sample_offgrid, the quintic spline of its samples).  A tiny floor
+    keeps the ratio defined when both products vanish.
     """
-    ev = _as_evaluator(f)
     pts = np.array(cs.left + cs.right, dtype=float)
-    vals = np.asarray(ev(pts), dtype=complex)
-    lhs = vals[0] * vals[1] * vals[2]
-    rhs = vals[3] * vals[4] * vals[5]
-    return float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _RESIDUAL_FLOOR))
+    return float(_relative_defect(np.asarray(_as_evaluator(f)(pts), dtype=complex)))
 
 
 def residual_samples(f, n_samples: int, seed: int, sampler_box: float = 3.0) -> np.ndarray:
@@ -127,10 +125,7 @@ def residual_samples(f, n_samples: int, seed: int, sampler_box: float = 3.0) -> 
     right = (center + r[:, None] * (np.cos(theta)[:, None] * _U1[None, :]
                                     + np.sin(theta)[:, None] * _U2[None, :]))
     pts = np.concatenate([xyz, right], axis=1)
-    vals = np.asarray(ev(pts.ravel()), dtype=complex).reshape(n_samples, 6)
-    lhs = vals[:, 0] * vals[:, 1] * vals[:, 2]
-    rhs = vals[:, 3] * vals[:, 4] * vals[:, 5]
-    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + _RESIDUAL_FLOOR)
+    return _relative_defect(np.asarray(ev(pts.ravel()), dtype=complex).reshape(n_samples, 6))
 
 
 def residual_statistic(f, n_samples: int, seed: int, sampler_box: float = 3.0

@@ -342,7 +342,7 @@ class FlowPlan:
 
 def _flow_lp_sum(f: WaveFunction, plan: FlowPlan, p: float) -> float:
     """sum_k w_k int |u(., t_k)|^p dx for u = e^{it Delta} f."""
-    warn_if_aliased(f, band_fraction=7.0 / 8.0, tol=1e-8, context="the flow")
+    warn_if_aliased(f, band_fraction=7.0 / 8.0, context="the flow")
     return plan.integral([f], power=p).real
 
 
@@ -415,7 +415,7 @@ def evolve_range(f: WaveFunction, tq: TimeQuadrature, switch: float | None = Non
     below the wrap horizon).
     """
     if check_aliasing:
-        warn_if_aliased(f, band_fraction=7.0 / 8.0, tol=1e-8, context="evolve_range")
+        warn_if_aliased(f, band_fraction=7.0 / 8.0, context="evolve_range")
     if switch is None:
         switch = switch_time(f)
     values = np.empty((len(tq.nodes), f.grid.n), dtype=complex)

@@ -24,27 +24,28 @@ independent evaluation routes cross-validate each other:
   by parametrizing xi_4 by the angle on the constraint circle:
   xi_4 = sigma/3 + h sin(phi), under which d(xi_4) / (2 sqrt(2T - S^2))
   becomes d(phi) / (2 sqrt 3) with the roots at
-  (sigma - xi_4)/2 +- (sqrt 3 / 2) h cos(phi).  Factors are read off the
-  quintic spline of each input's frequency samples, kept as a per-cell
-  Taylor table (_hat_spline) and evaluated by one index lookup and a Horner
-  step; cells touching an exact zero sample read zero.  Tables at the same
-  points share one lookup, and an input in both root slots is evaluated
-  once per root.
+  (sigma - xi_4)/2 +- (sqrt 3 / 2) h cos(phi).  Factors are read off
+  each input's frequency samples through lattice's off-grid route, the
+  per-cell Taylor table of their quintic spline; this module adds only the
+  band-gap rule (_hat_spline), under which cells touching an exact zero
+  sample read zero.  Tables at the same points share one lookup, and an
+  input in both root slots is evaluated once per root.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import make_interp_spline
 
 from .lattice import (
     FrequencyGrid,
     GridMismatchError,
     WaveFunction,
+    _cells,
+    _interpolate,
+    _spline_table,
     forward_transform,
     warn_if_aliased,
 )
@@ -99,7 +100,7 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
         tq = default_time_quadrature()
     for f in (f1, f2, f3, f4, f5, f6):
         # sextic pointwise products spread the spectrum sixfold
-        if warn_if_aliased(f, band_fraction=1.0 / 6.0, tol=1e-8, context="q_spacetime"):
+        if warn_if_aliased(f, band_fraction=1.0 / 6.0, context="q_spacetime"):
             break
     fields = [f1, f2, f3, f4, f5, f6]
     return KAPPA * FlowPlan(f1.grid, tq).integral(fields, conj_count=3)
@@ -108,42 +109,17 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
 def _hat_spline(f: WaveFunction) -> tuple[np.ndarray, WaveFunction]:
     """Taylor table of the quintic spline of the frequency samples, and fhat.
 
-    make_interp_spline(xi, fhat, k=5) has its knots at samples, so it is one
-    quintic on each cell [xi_l, xi_{l+1}]: column l of the (6, n) table holds
-    a_{l,m} = s^{(m)}(xi_l+) dxi^m / m!, and s(xi_l + u dxi) = sum_m a_{l,m} u^m.
-    The last column, where _cells sends points outside the span, is zero, and
-    so is a cell with an exact zero sample at either end: for hard-banded
-    inputs this suppresses the spline's ringing into the band gap, which would
-    otherwise add spurious mass to absolute-value integrands.
+    The table is lattice's off-grid table, read with _cells and _interpolate,
+    under the band-gap rule: a cell with an exact zero sample at either end is
+    zeroed.  For hard-banded inputs this suppresses the spline's ringing into
+    the band gap, which would otherwise add spurious mass to absolute-value
+    integrands.
     """
     fhat = f if isinstance(f.grid, FrequencyGrid) else forward_transform(f)
-    xi = fhat.grid.xi
-    spl = make_interp_spline(xi, fhat.values, k=5)
-    table = np.zeros((6, fhat.grid.n), dtype=complex)
-    for m in range(6):
-        table[m, :-1] = spl(xi[:-1], nu=m) * (fhat.grid.dxi ** m / math.factorial(m))
+    table = _spline_table(fhat)
     live = fhat.values != 0
     table[:, :-1][:, ~(live[:-1] & live[1:])] = 0.0
     return table, fhat
-
-
-def _cells(grid: FrequencyGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Table column and offset u in [0, 1) of each point; points outside
-    [xi_0, xi_{n-1}) get column -1 or n - 1, the zero column."""
-    u = (pts - grid.xi[0]) / grid.dxi
-    col = np.floor(u)
-    u -= col
-    return np.clip(col, -1, grid.n - 1, out=col).astype(np.intp), u
-
-
-def _interpolate(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The spline of a _hat_spline table at looked-up points (Horner in u)."""
-    col, u = cells
-    out = table[5].take(col)
-    for row in table[4::-1]:
-        out *= u
-        out += row.take(col)
-    return out
 
 
 def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[float, float]]:

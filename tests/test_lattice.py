@@ -176,6 +176,49 @@ def test_sample_offgrid_accuracy(grid):
         sample_offgrid(f, np.array([grid.x0 - 1.0]))
 
 
+def test_sample_offgrid_reads_through_exact_zero_samples(grid):
+    # the x = 0 sample is exactly 0.0; the constraint-set quadrature zeroes
+    # the cells touching such a sample, and sample_offgrid must not
+    f = WaveFunction(grid, grid.x * np.exp(-grid.x ** 2))
+    assert f.values[grid.n // 2] == 0.0
+    pts = np.linspace(-0.2, 0.2, 81) + 0.0013
+    np.testing.assert_allclose(sample_offgrid(f, pts), pts * np.exp(-pts ** 2), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["space", "frequency"])
+def test_sample_offgrid_end_points_and_scalars(grid, kind):
+    g = grid if kind == "space" else grid.dual()
+    values = np.exp(0.3j * grid.x) * (1 + 0.1 * grid.x)  # far from zero at both ends
+    f = WaveFunction(g, values)
+    ends = sample_offgrid(f, f.axis[[0, -1]])
+    assert np.abs(ends - values[[0, -1]]).max() <= 1e-12 * np.abs(values).max()
+    last = sample_offgrid(f, f.axis[-1])
+    assert np.ndim(last) == 0 and last == ends[1]
+    with pytest.raises(ValueError):
+        sample_offgrid(f, np.nan)
+
+
+def test_only_lattice_builds_offgrid_interpolants():
+    import ast
+    import pathlib
+
+    import strichartz_lab
+
+    importers = set()
+    for path in pathlib.Path(strichartz_lab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.interpolate" or name.startswith("scipy.interpolate.")
+                   for name in names):
+                importers.add(path.name)
+    assert importers == {"lattice.py"}
+
+
 def test_wavefunction_csv_round_trip(tmp_path, grid, rng):
     f = random_band_limited(grid, rng)
     path = tmp_path / "wf.csv"

@@ -1,18 +1,21 @@
-"""Guards at the accuracy the two Q routes actually reach.
+"""Guards at the accuracy the two Q routes and the off-grid route actually reach.
 
 The acceptance gates stay as they are; these bounds sit at 100x the
 difference observed at commit 3204666 (n = 1024, half-width 20, the default
 time rule, q_quadrature at (48, 48)), so a regression far inside the gates
 still fails here.  Differences are taken relative to the sharp bound
 KAPPA 12^{-1/2} prod ||f_i||_2 on |Q|, which Gaussians attain; on distinct
-slots Q can cancel far below it.
+slots Q can cancel far below it.  The off-grid guards sit at 100x what
+lattice.sample_offgrid, the quintic Taylor table, reaches on the same grid.
 """
 
 import math
 
 import numpy as np
 
+from strichartz_lab.functional_equation import residual_statistic
 from strichartz_lab.lattice import lp_norm
+from strichartz_lab.propagator import evolve_range
 from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
 
 from conftest import random_band_limited
@@ -22,6 +25,10 @@ GAUSSIAN_TWO_ROUTE_BOUND = 1.3e-7
 #: observed 4.83e-8 at commit 3204666 (six random_band_limited draws from
 #: default_rng(4))
 RANDOM_TWO_ROUTE_BOUND = 4.8e-6
+#: observed 1.03e-9 (worst factored row of the Gaussian, absolute)
+DIRECT_ROW_BOUND = 1.03e-7
+#: observed 4.10e-8 (residual_statistic sup on the Gaussian, seed 3)
+GAUSSIAN_RESIDUAL_BOUND = 4.1e-6
 
 
 def _two_route_difference(fields, tq):
@@ -37,3 +44,16 @@ def test_random_sextuple_two_routes(grid, tq):
     rng = np.random.default_rng(4)
     sextuple = [random_band_limited(grid, rng) for _ in range(6)]
     assert _two_route_difference(sextuple, tq) <= RANDOM_TWO_ROUTE_BOUND
+
+
+def test_factored_rows_against_closed_form_flow(grid, gaussian, tq):
+    field = evolve_range(gaussian, tq)
+    for k in np.flatnonzero(field.row_factored):
+        t = tq.nodes[k]
+        exact = (1 - 4j * t) ** -0.5 * np.exp(-grid.x ** 2 / (1 - 4j * t))
+        assert np.abs(field.direct_row(k) - exact).max() <= DIRECT_ROW_BOUND
+
+
+def test_gaussian_functional_equation_residual(gaussian):
+    sup, _ = residual_statistic(gaussian, 10_000, seed=3)
+    assert sup <= GAUSSIAN_RESIDUAL_BOUND
