@@ -33,7 +33,12 @@ of Lambda) are kept when one nodes x n table fits in TABLE_BYTES, and are
 computed per block otherwise.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
-Gauss-Legendre nodes in theta.
+Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
+per process (_legendre) and shared by every time rule and by the quadrature
+rules of sextic_form.  Its nodes come in exact +-t pairs, and the flow, chirp
+and Fresnel rows of -t are the complex conjugates of those of t, bit for bit.
+So on a symmetric rule a plan computes phase rows for t >= 0 only: it walks
+the t >= 0 half and yields each block's mirror block just before it.
 """
 
 from __future__ import annotations
@@ -87,6 +92,16 @@ BLOCK_ENTRIES = 1 << 16
 TABLE_BYTES = 1 << 23
 
 
+@lru_cache(maxsize=64)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one leggauss
+    call per n per process: its dense eigensolve is O(n^3).  leggauss makes
+    the nodes exactly antisymmetric and the weights exactly symmetric."""
+    z, w = leggauss(n)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 @dataclass(frozen=True)
 class TimeQuadrature:
     """Nodes and positive weights for integrals over the time axis."""
@@ -129,7 +144,7 @@ class TimeQuadrature:
         """
         if rate <= 0:
             raise ValueError("rate must be positive")
-        z, w = leggauss(n_nodes)
+        z, w = _legendre(n_nodes)
         theta = 0.5 * np.pi * z
         w_theta = 0.5 * np.pi * w
         nodes = np.tan(theta) / (4.0 * rate)
@@ -139,7 +154,7 @@ class TimeQuadrature:
     @classmethod
     def truncated(cls, n_nodes: int, t_max: float) -> "TimeQuadrature":
         """Plain Gauss-Legendre on [-t_max, t_max]."""
-        z, w = leggauss(n_nodes)
+        z, w = _legendre(n_nodes)
         return cls(nodes=t_max * z, weights=t_max * w, scheme="truncated")
 
     @classmethod
@@ -147,13 +162,8 @@ class TimeQuadrature:
         return cls(nodes=np.array([t]), weights=np.array([1.0]), scheme="truncated")
 
 
-@lru_cache(maxsize=8)
-def _compactified_cached(n_nodes: int) -> TimeQuadrature:
-    return TimeQuadrature.compactified(n_nodes)
-
-
 def default_time_quadrature(n_nodes: int = 257) -> TimeQuadrature:
-    return _compactified_cached(n_nodes)
+    return TimeQuadrature.compactified(n_nodes)
 
 
 def default_grid() -> UniformGrid:
@@ -257,6 +267,8 @@ class FlowPlan:
         self.block_rows = max(1, BLOCK_ENTRIES // grid.n)
         self._keep = len(tq.nodes) * grid.n * 16 <= TABLE_BYTES
         self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: nodes in exact +-t pairs: the rows of -t are conjugates of those of t
+        self._symmetric = np.array_equal(tq.nodes, -tq.nodes[::-1])
         #: dx e^{-i x0 xi}: the origin phase of a centred-order transform
         self.phase = grid.dx * np.exp(-1j * grid.x0 * dual.xi)
         self._xi2 = np.fft.ifftshift(dual.xi) ** 2
@@ -266,18 +278,34 @@ class FlowPlan:
         # eta, the dual of the frequency axis read as a spatial axis
         self._eta2 = np.fft.ifftshift(dual.as_spatial_axis().dual().xi) ** 2
 
+    def _mirror(self, sl: slice) -> slice:
+        """The t < 0 rows, ascending, that mirror the t >= 0 rows sl of a
+        symmetric rule; t = 0 has no mirror, and an asymmetric rule none."""
+        m = len(self.tq.nodes)
+        if not self._symmetric:
+            return slice(0, 0)
+        return slice(m - sl.stop, min(m - sl.start, m // 2))
+
     def table(self, kind: str, sl: slice) -> np.ndarray:
         """Rows sl of a phase table, a kept one filled as blocks ask: "flow" e^{it xi^2}
-        and "fresnel" e^{i eta^2 / 4t} in FFT order, "chirp" (-1)^j e^{-i x_j^2 / 4t}."""
-        if self._keep:
-            if kind not in self._tables:
-                shape = (len(self.tq.nodes), self.grid.n)
-                self._tables[kind] = (np.empty(shape, dtype=complex), np.zeros(shape[0], bool))
-            table, filled = self._tables[kind]
-            if not filled[sl].all():
-                table[sl], filled[sl] = self._phases(kind, sl), True
-            return table[sl]
-        return self._phases(kind, sl)
+        and "fresnel" e^{i eta^2 / 4t} in FFT order, "chirp" (-1)^j e^{-i x_j^2 / 4t}.
+        A kept table fills each t >= 0 row and its mirror together."""
+        if not self._keep:
+            return self._phases(kind, sl)
+        m = len(self.tq.nodes)
+        if kind not in self._tables:
+            self._tables[kind] = (np.empty((m, self.grid.n), dtype=complex), np.zeros(m, bool))
+        table, filled = self._tables[kind]
+        todo = np.arange(m)[sl][~filled[sl]]
+        if todo.size:
+            if self._symmetric:
+                todo = np.maximum(todo, m - 1 - todo)
+            src = slice(int(todo.min()), int(todo.max()) + 1)
+            mirror = self._mirror(src)
+            table[src] = self._phases(kind, src)
+            np.conj(table[src][::-1][:mirror.stop - mirror.start], out=table[mirror])
+            filled[src] = filled[mirror] = True
+        return table[sl]
 
     def _phases(self, kind: str, sl: slice) -> np.ndarray:
         t = self.tq.nodes[sl, None]
@@ -294,30 +322,48 @@ class FlowPlan:
         z = 1j * s * self._eta2
         return np.exp(z, out=z)
 
+    def _walk(self, kind: str, a: int, b: int):
+        """(nodes, phases) over the run of nodes a..b-1 in blocks of at most
+        block_rows, each preceded by its mirror block when it has one.  Unkept
+        phases are conjugated in place for the mirror and back for the block,
+        which is exact, so a block pair costs one array of exponentials."""
+        for start in range(a, b, self.block_rows):
+            sl = slice(start, min(start + self.block_rows, b))
+            mirror = self._mirror(sl)
+            count = mirror.stop - mirror.start
+            phases = self.table(kind, sl)
+            if count and self._keep:
+                yield mirror, self.table(kind, mirror)
+            elif count:
+                yield mirror, np.conj(phases, out=phases)[::-1][:count]
+                np.conj(phases, out=phases)
+            yield sl, phases
+
     def blocks(self, fields, switch: float):
         """Evolve fields over runs of at most block_rows nodes in one gauge
         (factored when |t| > switch).  Yields (nodes, factored, rows), rows[i]
         the rows of fields[i] at those nodes: samples u(x_j, t_k) in the
         direct gauge, ghat_{t_k} on the centred dual grid in the factored
-        gauge.  An input passed in several slots is evolved once."""
+        gauge.  An input passed in several slots is evolved once.  A symmetric
+        rule is walked over its t >= 0 half, each block preceded by its
+        mirror block; any other rule is walked in ascending order."""
         if any(f.grid != self.grid for f in fields):
             raise GridMismatchError("all inputs must share the plan's grid")
         distinct = {id(f): f.values for f in fields}
         spectra = {key: scipy.fft.fft(v) for key, v in distinct.items()}
+        m = len(self.tq.nodes)
+        first = m // 2 if self._symmetric else 0
         factored = np.abs(self.tq.nodes) > switch
-        runs = [0, *(np.flatnonzero(np.diff(factored)) + 1).tolist(), len(factored)]
+        runs = [first, *(np.flatnonzero(np.diff(factored[first:])) + 1 + first).tolist(), m]
         for a, b in zip(runs[:-1], runs[1:]):
-            for start in range(a, b, self.block_rows):
-                sl = slice(start, min(start + self.block_rows, b))
+            for sl, phases in self._walk("chirp" if factored[a] else "flow", a, b):
                 if factored[a]:
-                    chirp = self.table("chirp", sl)
-                    rows = {key: scipy.fft.fft(chirp * v, axis=-1, overwrite_x=True)
+                    rows = {key: scipy.fft.fft(phases * v, axis=-1, overwrite_x=True)
                             for key, v in distinct.items()}
                     for r in rows.values():
                         r *= self.phase
                 else:
-                    flow = self.table("flow", sl)
-                    rows = {key: scipy.fft.ifft(flow * spectra[key], axis=-1, overwrite_x=True)
+                    rows = {key: scipy.fft.ifft(phases * spectra[key], axis=-1, overwrite_x=True)
                             for key in distinct}
                 yield sl, bool(factored[a]), [rows[id(f)] for f in fields]
                 del rows  # free this block before the next is built

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .lattice import (
     FrequencyGrid,
@@ -49,7 +48,7 @@ from .lattice import (
     forward_transform,
     warn_if_aliased,
 )
-from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature
+from .propagator import FlowPlan, TimeQuadrature, _legendre, default_time_quadrature
 
 __all__ = [
     "KAPPA",
@@ -153,7 +152,7 @@ def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[
 
 def _axis_rule(fhat: WaveFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights over the support panels of fhat."""
-    z, wz = leggauss(n_nodes)
+    z, wz = _legendre(n_nodes)
     panels = _support_panels(fhat)
     return (np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi in panels]),
             np.concatenate([0.5 * (hi - lo) * wz for lo, hi in panels]))
@@ -186,7 +185,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
         vals = _interpolate(table, cells)
         return np.abs(vals) if absolute else vals
 
-    pz, pw = leggauss(n_phi)
+    pz, pw = _legendre(n_phi)
     wphi = 0.5 * np.pi * pw
     sin_phi, cos_phi = np.sin(0.5 * np.pi * pz), np.cos(0.5 * np.pi * pz)
 

@@ -103,7 +103,9 @@ def test_residual_statistic_deterministic(grid, gaussian):
 
 def test_residual_statistic_grid_gaussian_within_interpolation_budget(gaussian):
     sup, _ = residual_statistic(gaussian, 10_000, seed=3)
-    assert sup <= 1e-2  # order-6 interpolation budget off the grid
+    # acceptance gate for the quintic Taylor table off the grid; it reaches
+    # 4.1e-8 here, guarded in test_precision_guards.py
+    assert sup <= 1e-2
 
 
 def test_golden_power_sums_hand_values():

@@ -7,15 +7,19 @@ still fails here.  Differences are taken relative to the sharp bound
 KAPPA 12^{-1/2} prod ||f_i||_2 on |Q|, which Gaussians attain; on distinct
 slots Q can cancel far below it.  The off-grid guards sit at 100x what
 lattice.sample_offgrid, the quintic Taylor table, reaches on the same grid.
+The sharp-ratio guards sit at 100x max(observed, 1.1e-16) against 12^{-1/12},
+observed at commit e21182a: the Gaussian's ratio matched it exactly, so its
+guard rests on one rounding unit.
 """
 
 import math
 
 import numpy as np
 
+from strichartz_lab.extremizer import picard_iterate
 from strichartz_lab.functional_equation import residual_statistic
-from strichartz_lab.lattice import lp_norm
-from strichartz_lab.propagator import evolve_range
+from strichartz_lab.lattice import WaveFunction, lp_norm
+from strichartz_lab.propagator import evolve_range, sharp_ratio_exact, strichartz_ratio
 from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
 
 from conftest import random_band_limited
@@ -29,6 +33,11 @@ RANDOM_TWO_ROUTE_BOUND = 4.8e-6
 DIRECT_ROW_BOUND = 1.03e-7
 #: observed 4.10e-8 (residual_statistic sup on the Gaussian, seed 3)
 GAUSSIAN_RESIDUAL_BOUND = 4.1e-6
+#: observed 0.0 (strichartz_ratio of e^{-x^2}, absolute)
+GAUSSIAN_RATIO_BOUND = 1.1e-14
+#: observed 1.11e-16 (last ratio of picard_iterate from (1 + 0.1x) e^{-x^2},
+#: tol 1e-8, 33 states, absolute)
+PICARD_RATIO_BOUND = 1.11e-14
 
 
 def _two_route_difference(fields, tq):
@@ -57,3 +66,14 @@ def test_factored_rows_against_closed_form_flow(grid, gaussian, tq):
 def test_gaussian_functional_equation_residual(gaussian):
     sup, _ = residual_statistic(gaussian, 10_000, seed=3)
     assert sup <= GAUSSIAN_RESIDUAL_BOUND
+
+
+def test_gaussian_sharp_ratio(gaussian, tq):
+    assert abs(strichartz_ratio(gaussian, tq) - sharp_ratio_exact) <= GAUSSIAN_RATIO_BOUND
+
+
+def test_picard_converged_ratio(grid, tq):
+    f0 = WaveFunction(grid, (1.0 + 0.1 * grid.x) * np.exp(-grid.x ** 2))
+    result = picard_iterate(f0, tol=1e-8, max_steps=200, tq=tq)
+    assert result.converged
+    assert abs(result.states[-1].ratio - sharp_ratio_exact) <= PICARD_RATIO_BOUND

@@ -1,6 +1,11 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from strichartz_lab.bilinear import bilinear_l3
+from strichartz_lab.extremizer import _lambda_with_l6, lambda_apply
 from strichartz_lab.lattice import (
     AliasingWarning,
     UniformGrid,
@@ -10,6 +15,7 @@ from strichartz_lab.lattice import (
     make_gaussian,
 )
 from strichartz_lab.propagator import (
+    FlowPlan,
     TimeQuadrature,
     _inverse_fourier_profile,
     default_time_quadrature,
@@ -23,6 +29,7 @@ from strichartz_lab.propagator import (
     strichartz_ratio,
     switch_time,
 )
+from strichartz_lab.sextic_form import q_spacetime
 
 from conftest import random_band_limited
 
@@ -231,3 +238,135 @@ def test_spacetime_field_csv(tmp_path, gaussian):
     assert lines[0].startswith("# spacetime-field")
     assert lines[1] == "t,x,re,im"
     assert len(lines) == 2 + 3 * gaussian.grid.n
+
+
+# ---------------------------------------------------------------------------
+# mirror-paired blocks
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wide_grid():
+    # 4 rows per block; 9 or 10 nodes keep their tables, 33 or 34 do not
+    return UniformGrid.symmetric(n=16384, half_width=80.0)
+
+
+def _visited(plan, fields, switch):
+    return [k for sl, _, _ in plan.blocks(fields, switch)
+            for k in range(len(plan.tq.nodes))[sl]]
+
+
+@pytest.mark.parametrize("m", [9, 10, 33, 34])
+def test_blocks_visit_every_node_once_on_symmetric_rules(wide_grid, m):
+    f = make_gaussian(wide_grid, a=1.0, b=0.5j)
+    tq = TimeQuadrature.compactified(m)
+    plan = FlowPlan(wide_grid, tq)
+    # the t >= 0 half holds 5 or 17 nodes, which 4-row blocks do not divide
+    assert plan.block_rows == 4 and plan._keep == (m < 32)
+    for switch in (np.inf, 0.5):
+        visited = []
+        for sl, _, (rows,) in plan.blocks([f], switch):
+            for k, row in zip(range(m)[sl], rows):
+                visited.append(k)
+                one = FlowPlan(wide_grid, TimeQuadrature.single(tq.nodes[k]))
+                (_, _, (single,)), = one.blocks([f], switch)
+                np.testing.assert_allclose(row, single[0], rtol=0, atol=1e-15)
+        assert sorted(visited) == list(range(m))
+        # each mirror block comes just before its t >= 0 block
+        assert tq.nodes[visited[0]] < 0
+
+
+@pytest.mark.parametrize("tq", [
+    TimeQuadrature.single(0.0),
+    TimeQuadrature.single(0.7),
+    TimeQuadrature(nodes=np.array([-0.3, 0.1, 0.2, 0.4, 0.6, 0.9]), weights=np.ones(6)),
+], ids=["single-0", "single-0.7", "asymmetric"])
+def test_other_rules_take_the_ascending_walk(wide_grid, tq):
+    f = make_gaussian(wide_grid)
+    plan = FlowPlan(wide_grid, tq)
+    assert _visited(plan, [f], 0.5) == list(range(len(tq.nodes)))
+
+
+def _count_phase_rows(plan):
+    asked = Counter()
+    phases = plan._phases
+
+    def counting(kind, sl):
+        asked[kind] += len(range(len(plan.tq.nodes))[sl])
+        return phases(kind, sl)
+
+    plan._phases = counting
+    return asked
+
+
+@pytest.mark.parametrize("m", [9, 10, 33, 34])
+def test_symmetric_rule_computes_half_the_phase_rows(wide_grid, m):
+    f = make_gaussian(wide_grid, a=1.0, b=0.5j)
+    half = math.ceil(m / 2)
+    plan = FlowPlan(wide_grid, TimeQuadrature.compactified(m))
+    asked = _count_phase_rows(plan)
+    plan.integral([f], np.inf, power=2.0)
+    assert asked == {"flow": half}
+    plan = FlowPlan(wide_grid, TimeQuadrature.compactified(m))
+    asked = _count_phase_rows(plan)
+    plan.integral([f], 0.5, power=2.0)
+    factored = int((plan.tq.nodes > 0.5).sum())
+    assert asked == {"flow": half - factored, "chirp": factored}
+
+
+def test_kept_tables_serve_lambda_from_half_the_rows(grid):
+    f = make_gaussian(grid, a=1.0, b=0.5j)
+    plan = FlowPlan(grid, TimeQuadrature.compactified(33))
+    asked = _count_phase_rows(plan)
+    _lambda_with_l6(f, plan)
+    factored = int((plan.tq.nodes > switch_time(f)).sum())
+    assert asked == {"flow": 17 - factored, "chirp": factored, "fresnel": factored}
+    first = dict(asked)
+    _lambda_with_l6(f, plan)  # a second call reads the kept tables only
+    assert asked == first
+
+
+def _one_node_sum(value_at, tq):
+    """sum_k w_k value_at(single(t_k))"""
+    return sum(w * value_at(TimeQuadrature.single(t)) for t, w in zip(tq.nodes, tq.weights))
+
+
+def test_functionals_match_weighted_one_node_sums(grid):
+    tq = TimeQuadrature.compactified(33)
+    f = make_gaussian(grid, a=1.0, b=0.5j)
+    g = WaveFunction(grid, (1 + 0.3 * grid.x) * np.exp(-grid.x ** 2 + 0.5j * grid.x))
+    l2 = lp_norm(f, 2)
+
+    sixth = _one_node_sum(lambda one: (strichartz_ratio(f, one) * l2) ** 6, tq)
+    assert strichartz_ratio(f, tq) == pytest.approx(sixth ** (1 / 6) / l2, rel=1e-15, abs=0)
+
+    fields = (f, g, f, g, g, f)
+    q = q_spacetime(*fields, tq)
+    assert abs(q - _one_node_sum(lambda one: q_spacetime(*fields, one), tq)) <= 1e-15 * abs(q)
+
+    switch = switch_time([f, g])
+    cube = _one_node_sum(lambda one: bilinear_l3(f, g, one, switch) ** 3, tq)
+    assert bilinear_l3(f, g, tq, switch) == pytest.approx(cube ** (1 / 3), rel=1e-15, abs=0)
+
+    lam = lambda_apply(f, tq).values
+    lam_sum = _one_node_sum(lambda one: lambda_apply(f, one).values, tq)
+    assert np.abs(lam - lam_sum).max() <= 1e-15 * np.abs(lam).max()
+
+
+def test_only_propagator_builds_legendre_rules():
+    import ast
+    import pathlib
+
+    import strichartz_lab
+
+    users = set()
+    for path in pathlib.Path(strichartz_lab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "leggauss" in names:
+                users.add(path.name)
+    assert users == {"propagator.py"}
