@@ -24,17 +24,13 @@ from .lattice import (
     save_wavefunction,
 )
 from .propagator import (
-    SpaceTimeField,
     TimeQuadrature,
     default_grid,
     default_time_quadrature,
     evolve,
-    evolve_range,
     fourier_symmetry_check,
     gaussian_l6_sixth_exact,
-    save_spacetime_field,
     sharp_ratio_exact,
-    spacetime_lp,
     strichartz_ratio,
     switch_time,
 )

@@ -42,7 +42,6 @@ from .propagator import (
     FlowPlan,
     TimeQuadrature,
     _flow_lp_sum,
-    _row_measure,
     default_time_quadrature,
     strichartz_ratio,
     switch_time,
@@ -122,7 +121,7 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     for sl, factored, (rows,) in plan.blocks([f], switch_time(f)):
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2
-        sixth += _row_measure(plan.grid, plan.tq, sl, factored, 6) @ (quartic * power).sum(axis=-1)
+        sixth += plan.measure(sl, factored, 6) @ (quartic * power).sum(axis=-1)
         spectra = scipy.fft.fft(quartic * rows, axis=-1, overwrite_x=True)
         if factored:
             spectra *= plan.table("fresnel", sl)

@@ -1,4 +1,4 @@
-"""Free Schrodinger flow, space-time Lebesgue norms, and the sharp-constant ratio.
+"""Free Schrodinger flow, its block engine, and the sharp-constant ratio.
 
 The flow is the frequency multiplier e^{+i t xi^2}:
 
@@ -43,7 +43,7 @@ the t >= 0 half and yields each block's mirror block just before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -58,24 +58,19 @@ from .lattice import (
     forward_transform,
     l2_mass_radius,
     lp_norm,
-    sample_offgrid,
     warn_at_caller,
     warn_if_aliased,
 )
 
 __all__ = [
     "FlowPlan",
-    "SpaceTimeField",
     "TimeQuadrature",
     "default_grid",
     "default_time_quadrature",
     "evolve",
-    "evolve_range",
     "fourier_symmetry_check",
     "gaussian_l6_sixth_exact",
-    "save_spacetime_field",
     "sharp_ratio_exact",
-    "spacetime_lp",
     "strichartz_ratio",
     "switch_time",
 ]
@@ -243,18 +238,6 @@ def switch_time(fields) -> float:
 # the block engine
 # ---------------------------------------------------------------------------
 
-def _row_measure(grid: UniformGrid, tq: TimeQuadrature, sl, factored, degree) -> np.ndarray:
-    """w_k times the x-measure of the rows sl, for an integrand of the given
-    degree in |u|: dx on direct rows; on factored rows the Jacobian 2|t| dxi
-    of x = -2tw times the amplitude (4 pi |t|)^{-1/2} per degree."""
-    w = tq.weights[sl]
-    fac = np.broadcast_to(factored, w.shape)
-    out = w * grid.dx
-    t = np.abs(tq.nodes[sl][fac])
-    out[fac] = w[fac] * (4.0 * np.pi * t) ** (-0.5 * degree) * 2.0 * t * grid.dual().dxi
-    return out
-
-
 class FlowPlan:
     """The flow on one grid over one time rule, evaluated in row blocks; it
     holds no input, so one plan serves every call on its grid and rule."""
@@ -368,6 +351,16 @@ class FlowPlan:
                 yield sl, bool(factored[a]), [rows[id(f)] for f in fields]
                 del rows  # free this block before the next is built
 
+    def measure(self, sl: slice, factored: bool, degree: float) -> np.ndarray:
+        """w_k times the x-measure of the rows sl, for an integrand of the given
+        degree in |u|: dx on direct rows; on factored rows the Jacobian 2|t| dxi
+        of x = -2tw times the amplitude (4 pi |t|)^{-1/2} per degree."""
+        w = self.tq.weights[sl]
+        if not factored:
+            return w * self.grid.dx
+        t = np.abs(self.tq.nodes[sl])
+        return w * (4.0 * np.pi * t) ** (-0.5 * degree) * 2.0 * t * self.grid.dual().dxi
+
     def integral(self, fields, switch: float | None = None, conj_count: int = 0,
                  power: float | None = None) -> complex:
         """sum_k w_k int conj(u_1 .. u_c) u_{c+1} .. u_m dx, or sum_k w_k int |u_1 .. u_m|^power
@@ -381,7 +374,7 @@ class FlowPlan:
             if power is not None:
                 prod = np.abs(prod)
                 prod **= power
-            total += _row_measure(self.grid, self.tq, sl, factored, degree) @ prod.sum(axis=-1)
+            total += self.measure(sl, factored, degree) @ prod.sum(axis=-1)
             del rows, prod
         return complex(total)
 
@@ -393,90 +386,18 @@ def _flow_lp_sum(f: WaveFunction, plan: FlowPlan, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# evolution and space-time norms
+# evolution and the sharp-constant ratio
 # ---------------------------------------------------------------------------
 
-def evolve(f: WaveFunction, t: float, check_aliasing: bool = True) -> WaveFunction:
+def evolve(f: WaveFunction, t: float) -> WaveFunction:
     """Apply the frequency multiplier e^{i t xi^2}; unitary in L^2.
 
     Valid as a pointwise representation of u(. , t) while the solution still
     fits in the periodic box; see switch_time for the horizon.
     """
-    u = evolve_range(f, TimeQuadrature.single(t), np.inf, check_aliasing)
-    return WaveFunction(f.grid, u.values[0])
-
-
-@dataclass
-class SpaceTimeField:
-    """Samples of u(x, t) = e^{it Delta} f over grid x quadrature nodes.
-
-    Rows flagged in row_factored hold the factored-gauge profile ghat_t on
-    the dual frequency grid instead of direct samples; u is recovered from
-    them via the chirp factorization in the module docstring.  Rows not
-    flagged are literal samples of the (periodized) solution.
-    """
-
-    grid: UniformGrid
-    times: TimeQuadrature
-    values: np.ndarray = field(repr=False)
-    row_factored: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        nt = len(self.times.nodes)
-        if self.values.shape != (nt, self.grid.n):
-            raise GridMismatchError(
-                f"values have shape {self.values.shape}, expected ({nt}, {self.grid.n})"
-            )
-        if self.row_factored is None:
-            self.row_factored = np.zeros(nt, dtype=bool)
-        else:
-            self.row_factored = np.asarray(self.row_factored, dtype=bool)
-            if self.row_factored.shape != (nt,):
-                raise ValueError("row_factored must have one flag per time node")
-
-    def direct_row(self, k: int) -> np.ndarray:
-        """Samples of u(x_j, t_k) regardless of the stored gauge."""
-        if not self.row_factored[k]:
-            return self.values[k]
-        t = self.times.nodes[k]
-        dual = self.grid.dual()
-        x = self.grid.x
-        w = -x / (2.0 * t)
-        ghat = WaveFunction(dual, self.values[k])
-        inside = (w >= dual.xi[0]) & (w <= dual.xi[-1])
-        vals = np.zeros_like(w, dtype=complex)
-        if inside.any():
-            vals[inside] = sample_offgrid(ghat, w[inside])
-        amp = (-4j * np.pi * t) ** (-0.5)
-        return amp * np.exp(-1j * x ** 2 / (4.0 * t)) * vals
-
-
-def evolve_range(f: WaveFunction, tq: TimeQuadrature, switch: float | None = None,
-                 check_aliasing: bool = True) -> SpaceTimeField:
-    """Evolve f to every quadrature node.
-
-    switch is the gauge crossover time; None takes switch_time(f), and
-    numpy.inf forces direct rows everywhere (only sensible when all nodes sit
-    below the wrap horizon).
-    """
-    if check_aliasing:
-        warn_if_aliased(f, band_fraction=7.0 / 8.0, context="evolve_range")
-    if switch is None:
-        switch = switch_time(f)
-    values = np.empty((len(tq.nodes), f.grid.n), dtype=complex)
-    for sl, _, (rows,) in FlowPlan(f.grid, tq).blocks([f], switch):
-        values[sl] = rows
-    return SpaceTimeField(grid=f.grid, times=tq, values=values,
-                          row_factored=np.abs(tq.nodes) > switch)
-
-
-def spacetime_lp(u: SpaceTimeField, p: float) -> float:
-    """( sum_k w_k int |u(., t_k)|^p dx )^{1/p} over the field's quadrature."""
-    if p < 1:
-        raise ValueError(f"spacetime_lp requires p >= 1, got {p}")
-    measure = _row_measure(u.grid, u.times, slice(None), u.row_factored, p)
-    return float((measure @ (np.abs(u.values) ** p).sum(axis=-1)) ** (1.0 / p))
+    warn_if_aliased(f, band_fraction=7.0 / 8.0, context="evolve")
+    (_, _, (rows,)), = FlowPlan(f.grid, TimeQuadrature.single(t)).blocks([f], np.inf)
+    return WaveFunction(f.grid, rows[0])
 
 
 def strichartz_ratio(f: WaveFunction, tq: TimeQuadrature | None = None) -> float:
@@ -531,21 +452,3 @@ def fourier_symmetry_check(f: WaveFunction, tq: TimeQuadrature | None = None) ->
         ratio_finv=ratio_finv,
         fitted_c=ratio_f * lp_norm(f, 2) / (ratio_finv * lp_norm(finv, 2)),
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_spacetime_field(u: SpaceTimeField, path) -> None:
-    """Gridded CSV (t, x, re, im); factored rows are materialized as direct
-    samples first."""
-    x = u.grid.x
-    with open(path, "w") as fh:
-        fh.write(f"# spacetime-field n={u.grid.n} dx={u.grid.dx!r} x0={u.grid.x0!r} "
-                 f"nt={len(u.times.nodes)} scheme={u.times.scheme}\n")
-        fh.write("t,x,re,im\n")
-        for k, t in enumerate(u.times.nodes):
-            row = u.direct_row(k)
-            for xj, v in zip(x, row):
-                fh.write(f"{float(t)!r},{float(xj)!r},{float(v.real)!r},{float(v.imag)!r}\n")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from strichartz_lab.lattice import UniformGrid, WaveFunction, lp_norm, make_gaussian
+from strichartz_lab.lattice import (
+    UniformGrid,
+    WaveFunction,
+    lp_norm,
+    make_gaussian,
+    sample_offgrid,
+)
 from strichartz_lab.propagator import default_time_quadrature
 
 
@@ -55,3 +61,16 @@ def random_band_limited(grid, rng, band=8.0):
     f = inverse_transform(WaveFunction(dual, vals))
     f.values /= lp_norm(f, 2)
     return f
+
+
+def direct_samples(grid, t, ghat):
+    """u(x_j, t) rebuilt from a factored row ghat_t of FlowPlan.blocks through
+    the chirp factorization (-4 pi i t)^{-1/2} e^{-i x^2 / 4t} ghat_t(-x / 2t);
+    ghat_t is read between dual grid points by sample_offgrid and taken as zero
+    beyond the dual grid."""
+    dual = grid.dual()
+    w = -grid.x / (2.0 * t)
+    inside = (w >= dual.xi[0]) & (w <= dual.xi[-1])
+    vals = np.zeros(grid.n, dtype=complex)
+    vals[inside] = sample_offgrid(WaveFunction(dual, ghat), w[inside])
+    return (-4j * np.pi * t) ** -0.5 * np.exp(-1j * grid.x ** 2 / (4.0 * t)) * vals

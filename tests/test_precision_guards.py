@@ -19,10 +19,10 @@ import numpy as np
 from strichartz_lab.extremizer import picard_iterate
 from strichartz_lab.functional_equation import residual_statistic
 from strichartz_lab.lattice import WaveFunction, lp_norm
-from strichartz_lab.propagator import evolve_range, sharp_ratio_exact, strichartz_ratio
+from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
 from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
 
-from conftest import random_band_limited
+from conftest import direct_samples, random_band_limited
 
 #: observed 1.22e-9 at commit 3204666
 GAUSSIAN_TWO_ROUTE_BOUND = 1.3e-7
@@ -56,11 +56,13 @@ def test_random_sextuple_two_routes(grid, tq):
 
 
 def test_factored_rows_against_closed_form_flow(grid, gaussian, tq):
-    field = evolve_range(gaussian, tq)
-    for k in np.flatnonzero(field.row_factored):
-        t = tq.nodes[k]
-        exact = (1 - 4j * t) ** -0.5 * np.exp(-grid.x ** 2 / (1 - 4j * t))
-        assert np.abs(field.direct_row(k) - exact).max() <= DIRECT_ROW_BOUND
+    plan = FlowPlan(grid, tq)
+    for sl, factored, (rows,) in plan.blocks([gaussian], switch_time(gaussian)):
+        if not factored:
+            continue
+        for t, row in zip(tq.nodes[sl], rows):
+            exact = (1 - 4j * t) ** -0.5 * np.exp(-grid.x ** 2 / (1 - 4j * t))
+            assert np.abs(direct_samples(grid, t, row) - exact).max() <= DIRECT_ROW_BOUND
 
 
 def test_gaussian_functional_equation_residual(gaussian):
