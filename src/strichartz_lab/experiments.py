@@ -240,6 +240,9 @@ def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) 
                                              sampler_box=3.0)
     _record(report.results, "converged", result.converged)
     _record(report.results, "steps", final.step_index)
+    _record(report.results, "mixing_depth", result.depth)
+    # every state but the last is observed through one Lambda pass
+    _record(report.results, "lambda_evaluations", len(result.states) - 1)
     _record(report.results, "final_delta", final.delta)
     _record(report.results, "final_ratio", final.ratio)
     _record(report.results, "final_omega", final.omega_estimate)

@@ -9,6 +9,7 @@ from strichartz_lab.experiments import (
     run,
     validate_config,
 )
+from strichartz_lab.extremizer import ANDERSON_DEPTH
 
 
 def strip_meta(text: str) -> str:
@@ -70,6 +71,19 @@ def test_functional_residual_determinism(tmp_path):
     body_b = strip_meta((tmp_path / "b" / "report.txt").read_text())
     assert body_a == body_b
     assert r1.all_pass
+
+
+def test_iterate_determinism(tmp_path):
+    # the Anderson mixing adds a least-squares solve to every Picard step
+    cfg = default_config("iterate")
+    r1 = run(cfg, tmp_path / "a")
+    r2 = run(cfg, tmp_path / "b")
+    body_a = strip_meta((tmp_path / "a" / "report.txt").read_text())
+    body_b = strip_meta((tmp_path / "b" / "report.txt").read_text())
+    assert body_a == body_b
+    assert r1.all_pass
+    assert r1.results["mixing_depth"] == str(ANDERSON_DEPTH)
+    assert int(r1.results["lambda_evaluations"]) == int(r1.results["steps"])
 
 
 def test_decay_report_experiment(tmp_path):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from strichartz_lab.extremizer import (
+    ANDERSON_DEPTH,
     _resample_scaled,
+    _tail_distance,
     gauge_fix,
     lambda_apply,
     omega_of,
@@ -146,6 +148,33 @@ def test_picard_states_match_functionals(grid, tq, bumpy, tol, max_steps, n_stat
         assert st.omega_estimate == pytest.approx(omega_of(st.f, tq), rel=1e-13)
 
 
+def test_picard_acceptance_start_accelerated(grid, tq):
+    # the plain iteration took 33 states from this start
+    f0 = WaveFunction(grid, (1.0 + 0.1 * grid.x) * np.exp(-grid.x ** 2))
+    result = picard_iterate(f0, tol=1e-8, max_steps=200, tq=tq)
+    assert result.converged
+    assert len(result.states) <= 8
+    assert result.depth == ANDERSON_DEPTH
+    # the run stops at the first state whose tail estimate is within tol
+    deltas = [st.delta for st in result.states]  # the first is inf
+    tails = [_tail_distance(d, prev) for prev, d in zip(deltas, deltas[1:])]
+    assert tails[-1] <= 1e-8 < min(tails[:-1])
+
+
+@pytest.mark.parametrize("delta, previous", [
+    (1e-12, 1e-12),  # level
+    (2e-12, 1e-12),  # rising
+    (1e-12, 0.0),
+])
+def test_tail_stop_ignores_rising_delta(delta, previous):
+    assert _tail_distance(delta, previous) == np.inf
+
+
+def test_tail_distance_of_a_falling_delta():
+    assert _tail_distance(1e-9, np.inf) == 1e-9  # the first step stops on delta alone
+    assert _tail_distance(1e-9, 1e-8) == pytest.approx(1e-9 / (1 - 0.1), rel=1e-15)
+
+
 def test_picard_zero_start(grid, tq):
     with pytest.raises(ValueError):
         picard_iterate(WaveFunction(grid, np.zeros(grid.n)), tq=tq)
@@ -174,6 +203,7 @@ def test_trajectory_csv(tmp_path, gaussian, tq):
     path = tmp_path / "trajectory.csv"
     save_trajectory(result, path)
     lines = path.read_text().splitlines()
+    assert lines[0].endswith(f" depth={ANDERSON_DEPTH}")
     assert lines[1] == "step,delta,ratio,omega"
     assert len(lines) == 2 + len(result.states)
 

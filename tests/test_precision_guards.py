@@ -9,15 +9,17 @@ slots Q can cancel far below it.  The off-grid guards sit at 100x what
 lattice.sample_offgrid, the quintic Taylor table, reaches on the same grid.
 The sharp-ratio guards sit at 100x max(observed, 1.1e-16) against 12^{-1/12},
 observed at commit e21182a: the Gaussian's ratio matched it exactly, so its
-guard rests on one rounding unit.
+guard rests on one rounding unit.  The Picard log-fit guard sits at 100x the
+residual observed once the iteration was Anderson-mixed.
 """
 
 import math
 
 import numpy as np
 
+from strichartz_lab.experiments import _random_smooth_profile
 from strichartz_lab.extremizer import picard_iterate
-from strichartz_lab.functional_equation import residual_statistic
+from strichartz_lab.functional_equation import quadratic_log_fit, residual_statistic
 from strichartz_lab.lattice import WaveFunction, lp_norm
 from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
 from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
@@ -36,8 +38,10 @@ GAUSSIAN_RESIDUAL_BOUND = 4.1e-6
 #: observed 0.0 (strichartz_ratio of e^{-x^2}, absolute)
 GAUSSIAN_RATIO_BOUND = 1.1e-14
 #: observed 1.11e-16 (last ratio of picard_iterate from (1 + 0.1x) e^{-x^2},
-#: tol 1e-8, 33 states, absolute)
+#: tol 1e-8, 7 states, absolute)
 PICARD_RATIO_BOUND = 1.11e-14
+#: observed 1.55e-7 (quadratic_log_fit residual of that last state)
+PICARD_LOGFIT_BOUND = 1.6e-5
 
 
 def _two_route_difference(fields, tq):
@@ -79,3 +83,14 @@ def test_picard_converged_ratio(grid, tq):
     result = picard_iterate(f0, tol=1e-8, max_steps=200, tq=tq)
     assert result.converged
     assert abs(result.states[-1].ratio - sharp_ratio_exact) <= PICARD_RATIO_BOUND
+    assert quadratic_log_fit(result.final.f).residual <= PICARD_LOGFIT_BOUND
+
+
+def test_picard_random_start_accelerated(grid, tq):
+    # the plain iteration took 66 states from this start
+    result = picard_iterate(_random_smooth_profile(grid, np.random.default_rng(1)),
+                            tol=1e-8, max_steps=200, tq=tq)
+    assert result.converged
+    assert len(result.states) <= 33
+    assert quadratic_log_fit(result.final.f).gaussian_certified
+    assert abs(result.final.ratio - sharp_ratio_exact) <= PICARD_RATIO_BOUND
