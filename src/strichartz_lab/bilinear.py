@@ -164,11 +164,16 @@ class SweepResult:
     ns: list[float]
     values: list[float]
     bounds: list[float]
-    slope: float
     excluded: list[float] = field(default_factory=list)
 
+    @property
+    def slope(self) -> float:
+        """Least-squares log-log slope over every fitted point; nan below two."""
+        return (self.slope_so_far() or [float("nan")])[-1]
+
     def slope_so_far(self) -> list[float]:
-        """Cumulative least-squares slope over the first k >= 2 fitted points."""
+        """Cumulative least-squares slope over the first k >= 2 fitted points
+        (N > 1), nan for k = 1."""
         out = []
         logs = [(np.log(n), np.log(v)) for n, v in zip(self.ns, self.values) if n > 1]
         for k in range(1, len(logs) + 1):
@@ -206,7 +211,6 @@ def separation_sweep(s: float, Ns: list[float], profile: str = "flat", seed: int
     """
     values = []
     bounds = []
-    fitted_ns = []
     excluded = []
     for N in Ns:
         grid = sweep_grid(N, s, box_half_width)
@@ -228,17 +232,10 @@ def separation_sweep(s: float, Ns: list[float], profile: str = "flat", seed: int
         except ValueError:
             # touching supports make the Jacobian singular at N <= 1
             bounds.append(float("nan"))
-        if N > 1:
-            fitted_ns.append(N)
-        else:
+        if N <= 1:
             excluded.append(N)
-    fit_vals = [v for N, v in zip(Ns, values) if N > 1]
-    if len(fitted_ns) >= 2:
-        slope = float(np.polyfit(np.log(fitted_ns), np.log(fit_vals), 1)[0])
-    else:
-        slope = float("nan")
     return SweepResult(s=s, profile=profile, seed=seed, ns=list(Ns), values=values,
-                       bounds=bounds, slope=slope, excluded=excluded)
+                       bounds=bounds, excluded=excluded)
 
 
 def save_sweep(result: SweepResult, path) -> None:

@@ -15,13 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
-from .lattice import (
-    FrequencyGrid,
-    WaveFunction,
-    forward_transform,
-    lp_norm,
-)
+from .lattice import WaveFunction, _spectrum, lp_norm
 from .sextic_form import WeightParams, weight
 
 __all__ = [
@@ -38,6 +34,13 @@ __all__ = [
     "tail_norm_H",
 ]
 
+#: samples of |fhat| below this fraction of its peak are rounding noise
+_NOISE_FLOOR = 1e-14
+#: |fhat| / max |fhat| range of mu_slope_fit's default window
+_FIT_RANGE = (1e-10, 1e-2)
+#: step of analytic_extension_probe's Cauchy-Riemann differences
+_FD_STEP = 1e-4
+
 
 @dataclass
 class BandDecomposition:
@@ -53,15 +56,11 @@ class BandDecomposition:
     s: float
 
 
-def _hat_side(f: WaveFunction) -> WaveFunction:
-    return f if isinstance(f.grid, FrequencyGrid) else forward_transform(f)
-
-
 def band_decompose(f: WaveFunction, s: float) -> BandDecomposition:
     """Exact indicator cutoffs of fhat at |xi| = s and |xi| = s^2."""
     if s <= 1:
         raise ValueError("band threshold requires s > 1")
-    fhat = _hat_side(f)
+    fhat = _spectrum(f)
     if s * s >= fhat.grid.nyquist:
         raise ValueError(f"s^2 = {s * s} reaches the Nyquist frequency {fhat.grid.nyquist:.4g}")
     xi = np.abs(fhat.grid.xi)
@@ -76,13 +75,13 @@ def band_decompose(f: WaveFunction, s: float) -> BandDecomposition:
     )
 
 
-def tail_norm_H(f: WaveFunction, s: float, eps: float, rel_floor: float = 1e-14) -> float:
+def tail_norm_H(f: WaveFunction, s: float, eps: float) -> float:
     """H(eps) = ( int_{|xi| >= s^2} |e^{F_{mu,eps}(xi)} fhat|^2 dxi )^{1/2}
     with mu = s^{-4}.
 
     Nonincreasing in eps (the weight is); converges monotonically as
     eps -> 0 to the eps = 0 value on the grid.  Samples of fhat below
-    rel_floor of its peak are treated as exact zeros: they are rounding
+    _NOISE_FLOOR of its peak are treated as exact zeros: they are rounding
     noise, and the unbounded eps = 0 weight would amplify them into
     overflow.
     """
@@ -90,12 +89,12 @@ def tail_norm_H(f: WaveFunction, s: float, eps: float, rel_floor: float = 1e-14)
         raise ValueError("band threshold requires s > 1")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    fhat = _hat_side(f)
+    fhat = _spectrum(f)
     if s * s >= fhat.grid.nyquist:
         raise ValueError(f"s^2 = {s * s} reaches the Nyquist frequency {fhat.grid.nyquist:.4g}")
     xi = fhat.grid.xi
     mag = np.abs(fhat.values)
-    mask = (np.abs(xi) >= s * s) & (mag >= rel_floor * mag.max())
+    mask = (np.abs(xi) >= s * s) & (mag >= _NOISE_FLOOR * mag.max())
     if not mask.any():
         return 0.0
     w = WeightParams(mu=s ** (-4.0), eps=eps)
@@ -119,15 +118,14 @@ class MuSlopeFit:
         return 0.5 * self.mu_hat
 
 
-def mu_slope_fit(f: WaveFunction, window: tuple[float, float] | None = None,
-                 rel_range: tuple[float, float] = (1e-10, 1e-2)) -> MuSlopeFit:
+def mu_slope_fit(f: WaveFunction, window: tuple[float, float] | None = None) -> MuSlopeFit:
     """Least-squares slope of -log |fhat| against xi^2 over a tail window.
 
-    The default window is where |fhat| / max |fhat| lies inside rel_range,
+    The default window is where |fhat| / max |fhat| lies inside _FIT_RANGE,
     away from both the peak and the rounding floor.  The fit residual is the
     RMS misfit of the linear model in the xi^2 variable.
     """
-    fhat = _hat_side(f)
+    fhat = _spectrum(f)
     xi = fhat.grid.xi
     mag = np.abs(fhat.values)
     peak = mag.max()
@@ -135,7 +133,7 @@ def mu_slope_fit(f: WaveFunction, window: tuple[float, float] | None = None,
         raise ValueError("cannot fit the zero function")
     if window is None:
         rel = mag / peak
-        live = (rel >= rel_range[0]) & (rel <= rel_range[1])
+        live = (rel >= _FIT_RANGE[0]) & (rel <= _FIT_RANGE[1])
         if not live.any():
             raise ValueError("no samples inside the relative magnitude range")
         window = (float(np.abs(xi[live]).min()), float(np.abs(xi[live]).max()))
@@ -190,57 +188,27 @@ class GScanResult:
     concave_ok: bool
 
 
-def _g_value(x, omega, c):
-    return 0.5 * omega * x - c * (x ** 2 + x ** 3 + x ** 4 + x ** 5)
+def _positive_roots(p: Polynomial) -> np.ndarray:
+    """The real positive roots of p, ascending."""
+    roots = p.roots()
+    return np.sort(roots.real[(roots.imag == 0) & (roots.real > 0)])
 
 
-def g_polynomial_scan(omega: float, c: float, tol: float = 1e-12) -> GScanResult:
+def g_polynomial_scan(omega: float, c: float) -> GScanResult:
     """Supremum and half-level roots of G(x) = (omega/2) x - C(x^2+..+x^5).
 
-    G is concave on (0, inf) (every curvature term is negative), so the sup
-    is found by golden-section search and the two roots of G = M/2
-    bracketing the maximizer by bisection; x0 > 0 always since G(0) = 0.
+    G(0) = 0, G'(0) = omega/2 > 0 and G is concave on (0, inf) (every
+    curvature term is negative), so G' has one positive root, the maximizer
+    x_max with M = G(x_max), and G - M/2 has two, x0 < x_max < x1.  All
+    three are read off the roots of the polynomials (companion-matrix
+    eigenvalues), so they are accurate to rounding.
     """
     if omega <= 0 or c <= 0:
         raise ValueError("omega and C must be positive")
-    # bracket the maximizer: G'(0) = omega/2 > 0 and G eventually negative
-    hi = 1.0
-    while _g_value(hi, omega, c) > 0:
-        hi *= 2.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, hi
-    x1_gs = b - invphi * (b - a)
-    x2_gs = a + invphi * (b - a)
-    f1 = _g_value(x1_gs, omega, c)
-    f2 = _g_value(x2_gs, omega, c)
-    while b - a > tol * max(1.0, b):
-        if f1 >= f2:
-            b, x2_gs, f2 = x2_gs, x1_gs, f1
-            x1_gs = b - invphi * (b - a)
-            f1 = _g_value(x1_gs, omega, c)
-        else:
-            a, x1_gs, f1 = x1_gs, x2_gs, f2
-            x2_gs = a + invphi * (b - a)
-            f2 = _g_value(x2_gs, omega, c)
-    x_max = 0.5 * (a + b)
-    m_sup = float(_g_value(x_max, omega, c))
-
-    def bisect(lo_x, hi_x):
-        target = 0.5 * m_sup
-        g_lo = _g_value(lo_x, omega, c) - target
-        for _ in range(200):
-            mid = 0.5 * (lo_x + hi_x)
-            g_mid = _g_value(mid, omega, c) - target
-            if hi_x - lo_x <= tol * max(1.0, abs(mid)):
-                break
-            if (g_lo < 0) == (g_mid < 0):
-                lo_x, g_lo = mid, g_mid
-            else:
-                hi_x = mid
-        return 0.5 * (lo_x + hi_x)
-
-    x0 = bisect(0.0, x_max)
-    x1 = bisect(x_max, hi)
+    g = Polynomial([0.0, 0.5 * omega, -c, -c, -c, -c])
+    (x_max,) = _positive_roots(g.deriv())
+    m_sup = float(g(x_max))
+    x0, x1 = _positive_roots(g - 0.5 * m_sup)
     xs = np.linspace(x1 / 1000.0, x1, 1000)
     second = -c * (2.0 + 6.0 * xs + 12.0 * xs ** 2 + 20.0 * xs ** 3)
     return GScanResult(omega=omega, c=c, m_sup=m_sup, x0=float(x0), x1=float(x1),
@@ -251,13 +219,12 @@ def g_polynomial_scan(omega: float, c: float, tol: float = 1e-12) -> GScanResult
 # analytic extension probe
 # ---------------------------------------------------------------------------
 
-def analytic_extension_probe(f: WaveFunction, zs, fd_step: float = 1e-4,
-                             rel_floor: float = 1e-14):
+def analytic_extension_probe(f: WaveFunction, zs):
     """Evaluate the inversion integral f(z) = (1/2pi) int e^{iz xi} fhat dxi
     at complex points and report finite-difference Cauchy-Riemann residuals.
 
     The integral is restricted to the window where |fhat| stands above
-    rel_floor of its peak (below that the samples are rounding noise, which
+    _NOISE_FLOOR of its peak (below that the samples are rounding noise, which
     e^{|Im z| xi} would amplify).  A fitted decay slope must certify the
     requested imaginary offsets: |Im z| <= mu_hat * xi_window / 2 keeps the
     tail integrable on the window model.
@@ -265,15 +232,15 @@ def analytic_extension_probe(f: WaveFunction, zs, fd_step: float = 1e-4,
     Returns (values, cr_residuals) aligned with zs.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    fhat = _hat_side(f)
-    fit = mu_slope_fit(f)
+    fhat = _spectrum(f)
+    fit = mu_slope_fit(fhat)
     if fit.mu_hat <= 0:
         raise ValueError("no positive decay slope; analytic extension not certified")
     mag = np.abs(fhat.values)
-    live = mag >= rel_floor * mag.max()
+    live = mag >= _NOISE_FLOOR * mag.max()
     xi_window = float(np.abs(fhat.grid.xi[live]).max())
     im_bound = 0.5 * fit.mu_hat * xi_window
-    max_im = np.abs(zs.imag).max() + 2 * fd_step
+    max_im = np.abs(zs.imag).max() + 2 * _FD_STEP
     if max_im > im_bound:
         raise ValueError(
             f"|Im z| up to {max_im:.4g} exceeds the certified bound {im_bound:.4g}"
@@ -287,7 +254,7 @@ def analytic_extension_probe(f: WaveFunction, zs, fd_step: float = 1e-4,
         return (phases @ vals_hat) * dxi / (2.0 * np.pi)
 
     values = at(zs)
-    h = fd_step
+    h = _FD_STEP
     d_re = (at(zs + h) - at(zs - h)) / (2.0 * h)
     d_im = (at(zs + 1j * h) - at(zs - 1j * h)) / (2.0 * h)
     cr = 0.5 * (d_re + 1j * d_im)

@@ -422,8 +422,8 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
     for i, r in enumerate(ratios):
         _record(report.results, f"kappa_ratio_{i}", float(r))
     _record(report.results, "kappa_spread", spread)
-    _record(report.results, "quadrature_outer_points_per_panel", 48)
-    _record(report.results, "quadrature_angular_points", 48)
+    _record(report.results, "quadrature_outer_points_per_panel", sx.N_OUTER)
+    _record(report.results, "quadrature_angular_points", sx.N_PHI)
     _record(report.results, "time_nodes", len(tq.nodes))
     report.checks["kappa_constant_across_inputs"] = spread <= kappa_tol
 

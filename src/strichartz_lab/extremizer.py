@@ -65,6 +65,8 @@ __all__ = [
 
 #: second moment of the unit-normalized reference profile e^{-x^2}
 _TARGET_SECOND_MOMENT = 0.25
+#: gauge_fix skips a shift, modulation or rescale smaller than this
+_GAUGE_TOL = 1e-12
 
 #: residual differences in picard_iterate's Anderson least-squares step
 ANDERSON_DEPTH = 3
@@ -179,7 +181,7 @@ def _resample_scaled(f: WaveFunction, lam: float) -> np.ndarray:
     return np.sqrt(lam) * vals
 
 
-def gauge_fix(f: WaveFunction, tol: float = 1e-12) -> WaveFunction:
+def gauge_fix(f: WaveFunction) -> WaveFunction:
     """Quotient the symmetry group: center |f|^2 at x = 0, center |fhat|^2 at
     xi = 0, rescale parabolically to the reference second moment 1/4, make
     fhat(0) real positive, and normalize to unit L^2.
@@ -195,16 +197,16 @@ def gauge_fix(f: WaveFunction, tol: float = 1e-12) -> WaveFunction:
     xi = fhat.grid.xi
 
     x_center, _ = _moments(grid.x, np.abs(f.values) ** 2)
-    if abs(x_center) > tol:
+    if abs(x_center) > _GAUGE_TOL:
         fhat.values = np.exp(1j * x_center * xi) * fhat.values  # fhat of f(. + x_center)
     xi_center, _ = _moments(xi, np.abs(fhat.values) ** 2)
     work = inverse_transform(fhat)
-    if abs(xi_center) > tol:
+    if abs(xi_center) > _GAUGE_TOL:
         work.values = work.values * np.exp(-1j * xi_center * grid.x)
 
     _, second = _moments(grid.x, np.abs(work.values) ** 2)
     lam = np.sqrt(second / _TARGET_SECOND_MOMENT)
-    if abs(lam - 1.0) > tol:
+    if abs(lam - 1.0) > _GAUGE_TOL:
         work.values = _resample_scaled(work, lam)
 
     zero_mode = work.values.sum() * grid.dx  # fhat(0)

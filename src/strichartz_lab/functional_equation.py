@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _RESIDUAL_FLOOR = 1e-300
+#: largest adjacent-sample phase jump _unwrap_from accepts without a warning
+_JUMP_TOL = 0.5 * np.pi
 
 # in-plane orthonormal frame perpendicular to (1,1,1)/sqrt(3)
 _U1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -195,10 +197,10 @@ class QuadraticFit:
         return self.residual <= 1e-3 and self.A.real < 0
 
 
-def _unwrap_from(idx: int, phase: np.ndarray, jump_tol: float = 0.5 * np.pi) -> np.ndarray:
+def _unwrap_from(idx: int, phase: np.ndarray) -> np.ndarray:
     """Unwrap wrapped phases cumulatively outward from index idx."""
     diffs = np.angle(np.exp(1j * np.diff(phase)))
-    if diffs.size and np.abs(diffs).max() > jump_tol:
+    if diffs.size and np.abs(diffs).max() > _JUMP_TOL:
         warn_at_caller(
             f"adjacent-sample phase jumps up to {np.abs(diffs).max():.3f} rad "
             "exceed pi/2; unwrapping may be ambiguous",

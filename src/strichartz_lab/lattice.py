@@ -171,10 +171,10 @@ class WaveFunction:
         return WaveFunction(self.grid, self.values.copy())
 
 
-def make_gaussian(grid: UniformGrid, a: complex = 1.0, b: complex = 0.0, c: complex = 0.0) -> WaveFunction:
-    """Samples of exp(-a x^2 + b x + c) on grid; Re(a) > 0 expected."""
+def make_gaussian(grid: UniformGrid, a: complex = 1.0, b: complex = 0.0) -> WaveFunction:
+    """Samples of exp(-a x^2 + b x) on grid; Re(a) > 0 expected."""
     x = grid.x
-    return WaveFunction(grid, np.exp(-a * x ** 2 + b * x + c))
+    return WaveFunction(grid, np.exp(-a * x ** 2 + b * x))
 
 
 def _check_same_grid(f: WaveFunction, g: WaveFunction) -> None:
@@ -194,6 +194,11 @@ def forward_transform(f: WaveFunction) -> WaveFunction:
     dual = g.dual()
     vals = g.dx * np.exp(-1j * g.x0 * dual.xi) * np.fft.fftshift(np.fft.fft(f.values))
     return WaveFunction(dual, vals)
+
+
+def _spectrum(f: WaveFunction) -> WaveFunction:
+    """fhat of f, on whichever side f lives: f itself on a frequency grid."""
+    return f if isinstance(f.grid, FrequencyGrid) else forward_transform(f)
 
 
 def inverse_transform(g: WaveFunction) -> WaveFunction:
@@ -221,7 +226,7 @@ def inner_product(f: WaveFunction, g: WaveFunction) -> complex:
 
 def spectral_tail_fraction(f: WaveFunction, xi_cut: float) -> float:
     """Fraction of ||fhat||_2^2 carried by |xi| >= xi_cut."""
-    fhat = forward_transform(f) if isinstance(f.grid, UniformGrid) else f
+    fhat = _spectrum(f)
     xi = fhat.grid.xi
     power = np.abs(fhat.values) ** 2
     total = power.sum()

@@ -97,13 +97,12 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeQuadrature:
     """Nodes and positive weights for integrals over the time axis."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str = "compactified"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -116,16 +115,6 @@ class TimeQuadrature:
             raise ValueError("weights must be positive")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-
-    def __eq__(self, other):
-        return (isinstance(other, TimeQuadrature)
-                and self.scheme == other.scheme
-                and np.array_equal(self.nodes, other.nodes)
-                and np.array_equal(self.weights, other.weights))
-
-    def __hash__(self):
-        # + 0.0 maps a -0.0 node to 0.0, which __eq__ treats as equal
-        return hash((self.scheme, (self.nodes + 0.0).tobytes(), self.weights.tobytes()))
 
     @classmethod
     def compactified(cls, n_nodes: int = 257, rate: float = 1.0) -> "TimeQuadrature":
@@ -144,17 +133,17 @@ class TimeQuadrature:
         w_theta = 0.5 * np.pi * w
         nodes = np.tan(theta) / (4.0 * rate)
         weights = w_theta / (4.0 * rate * np.cos(theta) ** 2)
-        return cls(nodes=nodes, weights=weights, scheme="compactified")
+        return cls(nodes=nodes, weights=weights)
 
     @classmethod
     def truncated(cls, n_nodes: int, t_max: float) -> "TimeQuadrature":
         """Plain Gauss-Legendre on [-t_max, t_max]."""
         z, w = _legendre(n_nodes)
-        return cls(nodes=t_max * z, weights=t_max * w, scheme="truncated")
+        return cls(nodes=t_max * z, weights=t_max * w)
 
     @classmethod
     def single(cls, t: float) -> "TimeQuadrature":
-        return cls(nodes=np.array([t]), weights=np.array([1.0]), scheme="truncated")
+        return cls(nodes=np.array([t]), weights=np.array([1.0]))
 
 
 def default_time_quadrature(n_nodes: int = 257) -> TimeQuadrature:
@@ -171,10 +160,11 @@ def default_grid() -> UniformGrid:
 
 #: (band margin, mass tail) of the crossover windows, tried in order
 _WINDOWS = ((0.90, 1e-12), (0.95, 1e-3))
+#: fraction of the half box a direct-gauge solution may fill
+_BOX_MARGIN = 0.98
 
 
-def _gauge_crossover(fields, box_margin: float, band_margin: float,
-                     mass_tail: float) -> tuple[float, float]:
+def _gauge_crossover(fields, band_margin: float, mass_tail: float) -> tuple[float, float]:
     """(t_factored_min, t_direct_max) for the given extent tolerance."""
     grid = fields[0].grid
     half = 0.5 * grid.extent
@@ -187,7 +177,7 @@ def _gauge_crossover(fields, box_margin: float, band_margin: float,
         x_rad = l2_mass_radius(f, tail=mass_tail)
         fhat = forward_transform(f)
         b_rad = min(l2_mass_radius(fhat, tail=mass_tail), band_margin * nyq)
-        room = box_margin * half - x_rad
+        room = _BOX_MARGIN * half - x_rad
         if room <= 0 or b_rad <= 0:
             t_direct = min(t_direct, 0.0)
         else:
@@ -217,7 +207,7 @@ def switch_time(fields) -> float:
         raise GridMismatchError("switch_time expects spatial-grid functions")
     bounds = []
     for band_margin, mass_tail in _WINDOWS:
-        t_fact, t_direct = _gauge_crossover(fields, 0.98, band_margin, mass_tail)
+        t_fact, t_direct = _gauge_crossover(fields, band_margin, mass_tail)
         if t_fact < t_direct:
             return float(np.sqrt(t_fact * t_direct)) if t_fact > 0 else 0.5 * t_direct
         bounds.append(t_fact)

@@ -44,8 +44,8 @@ from .lattice import (
     WaveFunction,
     _cells,
     _interpolate,
+    _spectrum,
     _spline_table,
-    forward_transform,
     warn_if_aliased,
 )
 from .propagator import FlowPlan, TimeQuadrature, _legendre, default_time_quadrature
@@ -62,6 +62,14 @@ __all__ = [
 
 #: delta-normalization constant relating the space-time integral to Q
 KAPPA = (2.0 * np.pi) ** 4
+
+#: Gauss-Legendre points per support panel on each outer axis of the
+#: constraint-set quadrature, and on its angular axis
+N_OUTER = 48
+N_PHI = 48
+
+#: samples of |fhat| above this fraction of its peak are live for _support_panels
+_PANEL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -114,14 +122,14 @@ def _hat_spline(f: WaveFunction) -> tuple[np.ndarray, WaveFunction]:
     the band gap, which would otherwise add spurious mass to absolute-value
     integrands.
     """
-    fhat = f if isinstance(f.grid, FrequencyGrid) else forward_transform(f)
+    fhat = _spectrum(f)
     table = _spline_table(fhat)
     live = fhat.values != 0
     table[:, :-1][:, ~(live[:-1] & live[1:])] = 0.0
     return table, fhat
 
 
-def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[float, float]]:
+def _support_panels(fhat: WaveFunction) -> list[tuple[float, float]]:
     """Intervals covering the live samples of fhat, padded by a few cells.
 
     Hard-banded inputs give one panel per band component, so quadrature
@@ -134,7 +142,7 @@ def _support_panels(fhat: WaveFunction, rel_floor: float = 1e-13) -> list[tuple[
     pad = 3.0 * dxi
     if top == 0:
         return [(-pad, pad)]
-    live = mag > rel_floor * top
+    live = mag > _PANEL_FLOOR * top
     edges = np.diff(np.concatenate([[0], live.astype(int), [0]]))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -158,19 +166,19 @@ def _axis_rule(fhat: WaveFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray
             np.concatenate([0.5 * (hi - lo) * wz for lo, hi in panels]))
 
 
-def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
-                           exponent=None) -> complex:
+def _constraint_quadrature(fs, n_outer: int, n_phi: int,
+                           w: WeightParams | None = None) -> complex:
     """Shared engine for q_quadrature and m_weighted.
 
     fs holds the six inputs: slots 0-2 are the outer tensor directions, slot
     3 the angular variable, slots 4-5 the constraint roots.  Each distinct
     input object gets one _hat_spline table; factors are conjugated in slots
-    0-2, or all taken in absolute value when absolute is set.  With one object
-    in slots 4-5 the pairing e(p) e(q) + e(q) e(p) comes from its two
-    evaluations, bit for bit what two copies give.  exponent, when given, is
-    a callable (eta1, .., eta6) -> real array added as exp(.) under the
-    integral.  Summation is plain nested numpy reduction in a fixed order, so
-    results are reproducible bit for bit.
+    0-2.  With a weight w, all factors are taken in absolute value instead
+    and exp(F(eta_1) - F(eta_2) - .. - F(eta_6)) multiplies the integrand.
+    With one object in slots 4-5 the pairing e(p) e(q) + e(q) e(p) comes
+    from its two evaluations, bit for bit what two copies give.  Summation is
+    plain nested numpy reduction in a fixed order, so results are
+    reproducible bit for bit.
     """
     distinct = {id(f): f for f in fs}
     tables = {key: _hat_spline(f) for key, f in distinct.items()}
@@ -180,6 +188,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
         raise GridMismatchError("all inputs must share one grid")
     axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
     t1, t2, t3, t4, t5, t6 = (tables[id(f)][0] for f in fs)
+    absolute = w is not None
 
     def values(table, cells):
         vals = _interpolate(table, cells)
@@ -205,8 +214,9 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
         mid = 0.5 * (sigma[..., None] - xi4)
         p, q = mid + half_gap, mid - half_gap
         del mid, half_gap
-        if exponent is not None:
-            factor = np.exp(exponent(x1, x2[..., None], x3[..., None], xi4, p, q))
+        if absolute:
+            factor = np.exp(weight(x1, w) - weight(x2[..., None], w) - weight(x3[..., None], w)
+                            - weight(xi4, w) - weight(p, w) - weight(q, w))
         integrand = values(t4, _cells(grid, xi4))
         at_p, at_q = _cells(grid, p), _cells(grid, q)
         del xi4, p, q
@@ -218,7 +228,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
         del at_p, at_q
         integrand *= pairing
         del pairing
-        if exponent is not None:
+        if absolute:
             integrand *= factor
             del factor
         integrand *= wphi
@@ -228,7 +238,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int, absolute: bool = False,
 
 def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
                  f4: WaveFunction, f5: WaveFunction, f6: WaveFunction,
-                 n_outer: int = 48, n_phi: int = 48) -> complex:
+                 n_outer: int = N_OUTER, n_phi: int = N_PHI) -> complex:
     """Q evaluated directly on the constraint set (see module docstring).
 
     Agrees with q_spacetime to quadrature tolerance; the two routes are
@@ -239,7 +249,7 @@ def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
 
 def m_weighted(h1: WaveFunction, h2: WaveFunction, h3: WaveFunction,
                h4: WaveFunction, h5: WaveFunction, h6: WaveFunction,
-               w: WeightParams, n_outer: int = 48, n_phi: int = 48) -> float:
+               w: WeightParams, n_outer: int = N_OUTER, n_phi: int = N_PHI) -> float:
     """Weighted absolute sextic form over the constraint set.
 
     Inputs live on the frequency grid.  The integrand is
@@ -251,17 +261,10 @@ def m_weighted(h1: WaveFunction, h2: WaveFunction, h3: WaveFunction,
     hs = (h1, h2, h3, h4, h5, h6)
     if not all(isinstance(h.grid, FrequencyGrid) for h in hs):
         raise GridMismatchError("m_weighted expects frequency-grid inputs")
-
-    def exponent(e1, e2, e3, e4, e5, e6):
-        return (weight(e1, w) - weight(e2, w) - weight(e3, w)
-                - weight(e4, w) - weight(e5, w) - weight(e6, w))
-
-    val = _constraint_quadrature(hs, n_outer, n_phi, absolute=True, exponent=exponent)
-    return float(val.real)
+    return float(_constraint_quadrature(hs, n_outer, n_phi, w).real)
 
 
-def calibrate_kappa(inputs: list[WaveFunction], tq: TimeQuadrature | None = None,
-                    n_outer: int = 48, n_phi: int = 48):
+def calibrate_kappa(inputs: list[WaveFunction], tq: TimeQuadrature | None = None):
     """Ratio of the constraint-set integral to the raw space-time integral
     for each input, used to pin the delta normalization before trusting the
     frozen KAPPA.
@@ -275,7 +278,7 @@ def calibrate_kappa(inputs: list[WaveFunction], tq: TimeQuadrature | None = None
     ratios = []
     for f in inputs:
         spacetime_raw = FlowPlan(f.grid, tq).integral([f] * 6, conj_count=3)
-        direct = q_quadrature(f, f, f, f, f, f, n_outer=n_outer, n_phi=n_phi)
+        direct = q_quadrature(f, f, f, f, f, f)
         ratios.append((direct / spacetime_raw).real)
     ratios = np.array(ratios)
     mean = ratios.mean()

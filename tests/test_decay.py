@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -21,6 +22,8 @@ from strichartz_lab.lattice import (
     make_gaussian,
     sample_offgrid,
 )
+from strichartz_lab.propagator import gaussian_l6_sixth_exact
+from strichartz_lab.sextic_form import KAPPA
 
 
 def test_band_decompose_reassembly(grid, gaussian):
@@ -158,6 +161,27 @@ def test_g_polynomial_scan_concavity_samples():
     xs = np.linspace(scan.x1 / 1000, scan.x1, 1000)
     second = -0.2 * (2 + 6 * xs + 12 * xs ** 2 + 20 * xs ** 3)
     assert np.all(second < 0)
+
+
+#: omega = Q(f, .., f) / ||f||_2^2 of e^{-x^2} in closed form, about 706.72
+GAUSSIAN_OMEGA = KAPPA * gaussian_l6_sixth_exact / np.sqrt(np.pi / 2)
+#: observed 3.44e-15 (|G'(x_max)| / (omega / 2), worst case below)
+SCAN_SLOPE_BOUND = 3.5e-13
+#: observed 8.29e-15 (|G(x_i) - M/2| / M, worst case below)
+SCAN_LEVEL_BOUND = 8.3e-13
+
+
+@pytest.mark.parametrize("omega, c", [(2.0, 1.0), (7.3, 0.2), (GAUSSIAN_OMEGA, 1.0),
+                                      (GAUSSIAN_OMEGA, 10.0), (GAUSSIAN_OMEGA, 100.0)])
+def test_g_polynomial_scan_roots_to_rounding(omega, c):
+    # 100x the residuals of the root-based scan; a search stopped at a
+    # bracket width leaves far larger ones
+    scan = g_polynomial_scan(omega, c)
+    g = Polynomial([0.0, 0.5 * omega, -c, -c, -c, -c])
+    assert abs(g.deriv()(scan.x_max)) <= SCAN_SLOPE_BOUND * 0.5 * omega
+    assert scan.m_sup == pytest.approx(g(scan.x_max), rel=1e-15)
+    for x in (scan.x0, scan.x1):
+        assert abs(g(x) - 0.5 * scan.m_sup) <= SCAN_LEVEL_BOUND * scan.m_sup
 
 
 def test_g_polynomial_scan_domain_error():

@@ -18,7 +18,6 @@ from strichartz_lab.propagator import (
     FlowPlan,
     TimeQuadrature,
     _inverse_fourier_profile,
-    default_time_quadrature,
     evolve,
     fourier_symmetry_check,
     gaussian_l6_sixth_exact,
@@ -47,19 +46,6 @@ def test_time_quadrature_invariants():
         TimeQuadrature(nodes=np.array([0.0, 0.0]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeQuadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
-
-
-def test_time_quadrature_hashable():
-    a = TimeQuadrature.compactified(33)
-    b = TimeQuadrature.compactified(33)
-    assert a == b and hash(a) == hash(b)
-    assert {a: "rule"}[b] == "rule"
-    assert hash(default_time_quadrature()) == hash(TimeQuadrature.compactified(257))
-    # -0.0 and 0.0 nodes compare equal, so they must hash equal
-    neg = TimeQuadrature(nodes=np.array([-0.0, 1.0]), weights=np.array([1.0, 1.0]))
-    pos = TimeQuadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
-    assert neg == pos and hash(neg) == hash(pos)
-    assert a != TimeQuadrature.truncated(33, 1.0)
 
 
 def test_evolve_identity_at_zero(gaussian):
