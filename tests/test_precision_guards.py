@@ -10,7 +10,10 @@ lattice.sample_offgrid, the quintic Taylor table, reaches on the same grid.
 The sharp-ratio guards sit at 100x max(observed, 1.1e-16) against 12^{-1/12},
 observed at commit e21182a: the Gaussian's ratio matched it exactly, so its
 guard rests on one rounding unit.  The Picard log-fit guard sits at 100x the
-residual observed once the iteration was Anderson-mixed.
+residual observed once the iteration was Anderson-mixed.  The q_quadrature
+pins hold the values recorded at commit dca3834, before the quadrature
+summed the circle integral once per symmetric orbit of outer nodes; like
+TAIL_CHAIN_M_GAUSSIAN they are guarded at 1e-13 relative.
 """
 
 import math
@@ -20,9 +23,9 @@ import numpy as np
 from strichartz_lab.experiments import _random_smooth_profile
 from strichartz_lab.extremizer import picard_iterate
 from strichartz_lab.functional_equation import quadratic_log_fit, residual_statistic
-from strichartz_lab.lattice import WaveFunction, lp_norm
+from strichartz_lab.lattice import WaveFunction, lp_norm, make_gaussian
 from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
-from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
+from strichartz_lab.sextic_form import KAPPA, _axis_rule, _hat_spline, q_quadrature, q_spacetime
 
 from conftest import direct_samples, random_band_limited
 
@@ -42,6 +45,14 @@ GAUSSIAN_RATIO_BOUND = 1.1e-14
 PICARD_RATIO_BOUND = 1.11e-14
 #: observed 1.55e-7 (quadratic_log_fit residual of that last state)
 PICARD_LOGFIT_BOUND = 1.6e-5
+#: q_quadrature at (48, 48) at commit dca3834: the Gaussian diagonal, the
+#: default_rng(4) sextuple (no two outer slots share nodes) and
+#: _shared_nodes_sextuple (all three do, with three different functions)
+Q_QUADRATURE_PINS = {
+    "gaussian": 885.7449102372607 - 3.149460646535084e-14j,
+    "random": -16.1765064136053 - 44.925394681503086j,
+    "shared_nodes": -10.846025616851538 - 6.523591300744396j,
+}
 
 
 def _two_route_difference(fields, tq):
@@ -94,3 +105,25 @@ def test_picard_random_start_accelerated(grid, tq):
     assert len(result.states) <= 33
     assert quadratic_log_fit(result.final.f).gaussian_certified
     assert abs(result.final.ratio - sharp_ratio_exact) <= PICARD_RATIO_BOUND
+
+
+def _shared_nodes_sextuple(grid):
+    """The default_rng(4) sextuple with its outer slots replaced by f,
+    i f(x - 7dx) and f(x + 12dx): one |fhat|, so one set of nodes, under three
+    different functions."""
+    rng = np.random.default_rng(4)
+    f, _, _, *rest = [random_band_limited(grid, rng) for _ in range(6)]
+    return [f, WaveFunction(grid, 1j * np.roll(f.values, 7)),
+            WaveFunction(grid, np.roll(f.values, -12)), *rest]
+
+
+def test_q_quadrature_pins(grid):
+    rng = np.random.default_rng(4)
+    inputs = {"gaussian": [make_gaussian(grid)] * 6,
+              "random": [random_band_limited(grid, rng) for _ in range(6)],
+              "shared_nodes": _shared_nodes_sextuple(grid)}
+    nodes = [_axis_rule(_hat_spline(f)[1], 48)[0] for f in inputs["shared_nodes"][:3]]
+    assert all(np.array_equal(nodes[0], x) for x in nodes[1:])
+    for name, fields in inputs.items():
+        pin = Q_QUADRATURE_PINS[name]
+        assert abs(q_quadrature(*fields, 48, 48) - pin) <= 1e-13 * abs(pin), name
