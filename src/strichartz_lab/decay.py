@@ -185,7 +185,6 @@ class GScanResult:
     x0: float
     x1: float
     x_max: float
-    concave_ok: bool
 
 
 def _positive_roots(p: Polynomial) -> np.ndarray:
@@ -209,10 +208,8 @@ def g_polynomial_scan(omega: float, c: float) -> GScanResult:
     (x_max,) = _positive_roots(g.deriv())
     m_sup = float(g(x_max))
     x0, x1 = _positive_roots(g - 0.5 * m_sup)
-    xs = np.linspace(x1 / 1000.0, x1, 1000)
-    second = -c * (2.0 + 6.0 * xs + 12.0 * xs ** 2 + 20.0 * xs ** 3)
     return GScanResult(omega=omega, c=c, m_sup=m_sup, x0=float(x0), x1=float(x1),
-                       x_max=float(x_max), concave_ok=bool(np.all(second < 0)))
+                       x_max=float(x_max))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,21 @@ independent evaluation routes cross-validate each other:
   band-gap rule (_hat_spline), under which cells touching an exact zero
   sample read zero.  Tables at the same points share one lookup, and an
   input in both root slots is evaluated once per root.
+
+  The circle integral over (xi_4, xi_5, xi_6) depends on the outer
+  frequencies only through sigma = xi_1+xi_2+xi_3 and
+  tau = xi_1^2+xi_2^2+xi_3^2, which are symmetric in the three.  Outer slots
+  whose node arrays are equal therefore see one circle integral per orbit of
+  node triples under permuting those slots: it is evaluated once, at the
+  triple with sorted node indices, against the outer factors summed over the
+  orbit.  On the Gaussian diagonal this cuts the circle evaluations from
+  n^3 to n(n+1)(n+2)/6 for n outer nodes per axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -176,9 +186,21 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     0-2.  With a weight w, all factors are taken in absolute value instead
     and exp(F(eta_1) - F(eta_2) - .. - F(eta_6)) multiplies the integrand.
     With one object in slots 4-5 the pairing e(p) e(q) + e(q) e(p) comes
-    from its two evaluations, bit for bit what two copies give.  Summation is
-    plain nested numpy reduction in a fixed order, so results are
-    reproducible bit for bit.
+    from its two evaluations, bit for bit what two copies give.
+
+    The circle integral depends on the outer node triple only through
+    (sigma, tau), so it is evaluated once per orbit of triples under the
+    permutations pi of slots 0-2 that map each slot onto one with an equal
+    node array (np.array_equal, so copies of an input behave like the input
+    itself).  Each orbit is represented by its triple with ascending indices
+    within every class of equal slots, and the circle integral there is
+    multiplied by sum_pi prod_s wf_s(x_pi(s)) / |stabilizer of the triple|,
+    with wf_s the outer weight times the outer factor of slot s.  The weight
+    exponent splits into an outer part per permutation and an inner part per
+    circle point; the largest outer part is moved to the inner side, so both
+    exponentials stay <= 1 (the full exponent is <= 0 on the constraint set)
+    and no overflow meets an underflow.  Summation is plain numpy reduction
+    in a fixed order, so results are reproducible bit for bit.
     """
     distinct = {id(f): f for f in fs}
     tables = {key: _hat_spline(f) for key, f in distinct.items()}
@@ -198,25 +220,41 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     wphi = 0.5 * np.pi * pw
     sin_phi, cos_phi = np.sin(0.5 * np.pi * pz), np.cos(0.5 * np.pi * pz)
 
-    x2, x3 = np.meshgrid(axes[1][0], axes[2][0], indexing="ij")
-    w23 = np.outer(axes[1][1], axes[2][1])
-    outer_vals = [_interpolate(t, _cells(grid, ax[0])) for t, ax in zip((t1, t2, t3), axes)]
-    f1_vals, f2_vals, f3_vals = (np.abs(v) if absolute else np.conj(v) for v in outer_vals)
-    outer23 = np.outer(f2_vals, f3_vals)
+    nodes = [ax[0] for ax in axes]
+    outer_vals = [_interpolate(t, _cells(grid, x)) for t, x in zip((t1, t2, t3), nodes)]
+    outer = [ax[1] * (np.abs(v) if absolute else np.conj(v)) for ax, v in zip(axes, outer_vals)]
+    if absolute:
+        signed_f = [weight(nodes[0], w), -weight(nodes[1], w), -weight(nodes[2], w)]
+    same = [[np.array_equal(a, b) for b in nodes] for a in nodes]
+    perms = [pi for pi in permutations(range(3)) if all(same[s][pi[s]] for s in range(3))]
+    shared = [(a, b) for a, b in combinations(range(3), 2) if same[a][b]]
+    idx2, idx3 = (ix.ravel() for ix in np.meshgrid(np.arange(nodes[1].size),
+                                                     np.arange(nodes[2].size), indexing="ij"))
 
     total = 0.0 + 0.0j
-    for x1, w1, f1 in zip(*axes[0], f1_vals):
+    for i in range(nodes[0].size):
+        idx = (np.full_like(idx2, i), idx2, idx3)
+        keep = np.ones(idx2.size, dtype=bool)
+        for a, b in shared:
+            keep &= idx[a] <= idx[b]
+        idx = tuple(ix[keep] for ix in idx)
+        x1, x2, x3 = (x[ix] for x, ix in zip(nodes, idx))
         sigma = x1 + x2 + x3
         tau = x1 ** 2 + x2 ** 2 + x3 ** 2
         h = np.sqrt(np.maximum(2.0 * tau - 2.0 * sigma ** 2 / 3.0, 0.0) / 3.0)
-        xi4 = sigma[..., None] / 3.0 + h[..., None] * sin_phi
-        half_gap = 0.5 * np.sqrt(3.0) * h[..., None] * cos_phi
-        mid = 0.5 * (sigma[..., None] - xi4)
+        xi4 = sigma[:, None] / 3.0 + h[:, None] * sin_phi
+        half_gap = 0.5 * np.sqrt(3.0) * h[:, None] * cos_phi
+        mid = 0.5 * (sigma[:, None] - xi4)
         p, q = mid + half_gap, mid - half_gap
         del mid, half_gap
+        orbit = [tuple(idx[pi[s]] for s in range(3)) for pi in perms]
+        weights = [outer[0][a] * outer[1][b] * outer[2][c] for a, b, c in orbit]
         if absolute:
-            factor = np.exp(weight(x1, w) - weight(x2[..., None], w) - weight(x3[..., None], w)
-                            - weight(xi4, w) - weight(p, w) - weight(q, w))
+            exponents = [signed_f[0][a] + signed_f[1][b] + signed_f[2][c] for a, b, c in orbit]
+            shift = np.maximum.reduce(exponents)
+            weights = [wt * np.exp(e - shift) for wt, e in zip(weights, exponents)]
+            factor = np.exp(shift[:, None] - weight(xi4, w) - weight(p, w) - weight(q, w))
+        stabilizer = sum((a == idx[0]) & (b == idx[1]) & (c == idx[2]) for a, b, c in orbit)
         integrand = values(t4, _cells(grid, xi4))
         at_p, at_q = _cells(grid, p), _cells(grid, q)
         del xi4, p, q
@@ -232,7 +270,8 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
             integrand *= factor
             del factor
         integrand *= wphi
-        total += w1 * f1 * (w23 * outer23 * (integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)))).sum()
+        total += (sum(weights) / stabilizer
+                  * (integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)))).sum()
     return complex(total)
 
 

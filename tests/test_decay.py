@@ -141,7 +141,6 @@ def test_g_polynomial_scan_self_consistent():
     def g(x):
         return x - x ** 2 - x ** 3 - x ** 4 - x ** 5
 
-    assert scan.concave_ok
     assert 0 < scan.x0 < scan.x_max < scan.x1
     assert g(scan.x0) == pytest.approx(scan.m_sup / 2, abs=1e-10)
     assert g(scan.x1) == pytest.approx(scan.m_sup / 2, abs=1e-10)

@@ -1,8 +1,8 @@
 """The quick demos run to completion against the current public API.
 
 Each demo runs from a copy in a temporary directory, so the files a demo
-writes next to itself (out/) stay out of the source tree.  Demos 03 and 04
-take several seconds each and are left to be run by hand.
+writes next to itself (out/) stay out of the source tree.  Demo 04 takes
+several seconds and is left to be run by hand.
 """
 
 import os
@@ -17,7 +17,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["01_sharp_constant.py", "02_extremizer_iteration.py",
-                                  "05_functional_equation.py", "06_decay_bootstrap.py"])
+                                  "03_sextic_form_crosscheck.py", "05_functional_equation.py",
+                                  "06_decay_bootstrap.py"])
 def test_demo_runs(name, tmp_path):
     script = tmp_path / name
     shutil.copy(REPO / "demos" / name, script)

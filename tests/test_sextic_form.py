@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
@@ -12,6 +14,7 @@ from strichartz_lab.lattice import (
     lp_norm,
     make_gaussian,
 )
+from strichartz_lab import sextic_form
 from strichartz_lab.propagator import gaussian_l6_sixth_exact
 from strichartz_lab.sextic_form import (
     KAPPA,
@@ -130,6 +133,35 @@ def test_permutation_symmetry_quadrature(grid, rng):
     assert abs(base - swapped_45) <= 1e-2 * abs(base)
 
 
+def _lookup_points(monkeypatch, fields, n):
+    """q_quadrature(fields, n, n) and the number of points it looks up."""
+    points = []
+
+    def counting(grid, pts):
+        points.append(np.size(pts))
+        return _cells(grid, pts)
+
+    monkeypatch.setattr(sextic_form, "_cells", counting)
+    return q_quadrature(*fields, n, n), sum(points)
+
+
+def test_quadrature_circle_once_per_orbit(grid, rng, monkeypatch):
+    # each of the three outer slots looks up its 8 nodes; xi_4 and the two
+    # roots are looked up at every circle point, 8 angles per node triple
+    g = make_gaussian(grid)
+    _, points = _lookup_points(monkeypatch, [g] * 6, 8)
+    assert points == 3 * 8 + 3 * math.comb(10, 3) * 8     # sorted triples, not 8^3
+    f = random_band_limited(grid, rng)
+    values = []
+    for odd in range(3):
+        outer = [f] * 3
+        outer[odd] = g
+        q, points = _lookup_points(monkeypatch, outer + [g] * 3, 8)
+        assert points == 3 * 8 + 3 * (8 * math.comb(9, 2)) * 8   # one sorted pair
+        values.append(q)
+    assert max(abs(q - values[0]) for q in values) <= 1e-13 * abs(values[0])
+
+
 def sampled_constraint_points(rng, n=2000):
     x1 = rng.uniform(-8, 8, n)
     x2 = rng.uniform(-8, 8, n)
@@ -179,6 +211,15 @@ def test_m_weighted_monotone_in_eps(grid):
             for eps in (0.01, 0.1, 1.0, 10.0, 1000.0)]
     assert all(a <= b + 1e-10 for a, b in zip(vals, vals[1:]))
     assert all(v > 0 and np.isfinite(v) for v in vals)
+
+
+def test_m_weighted_finite_where_the_outer_weight_overflows(grid):
+    # F(xi) = xi^2 reaches 4800 on this spectrum, so e^{F(eta_1)} alone
+    # overflows; the whole exponent is <= 0 on the constraint set
+    h = forward_transform(make_gaussian(grid, a=40.0))
+    m = m_weighted(h, h, h, h, h, h, WeightParams(1.0, 0.0), n_outer=8, n_phi=8)
+    m0 = m_weighted(h, h, h, h, h, h, WeightParams(0.0, 0.0), n_outer=8, n_phi=8)
+    assert 0 < m < m0
 
 
 def test_m_weighted_requires_frequency_grid(gaussian):
