@@ -38,7 +38,9 @@ per process (_legendre) and shared by every time rule and by the quadrature
 rules of sextic_form.  Its nodes come in exact +-t pairs, and the flow, chirp
 and Fresnel rows of -t are the complex conjugates of those of t, bit for bit.
 So on a symmetric rule a plan computes phase rows for t >= 0 only: it walks
-the t >= 0 half and yields each block's mirror block just before it.
+the t >= 0 half and yields each block's mirror block just before it.  Within
+a row, an exponent array that is even in the column index (x^2 on a symmetric
+grid, xi^2 and eta^2 always) needs exponentials for columns 0..n/2 only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, legval
 
 from .lattice import (
     AliasingWarning,
@@ -89,12 +91,38 @@ TABLE_BYTES = 1 << 23
 
 @lru_cache(maxsize=64)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one leggauss
-    call per n per process: its dense eigensolve is O(n^3).  leggauss makes
-    the nodes exactly antisymmetric and the weights exactly symmetric."""
-    z, w = leggauss(n)
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n
+    per process.
+
+    This is numpy's leggauss step for step, except for its first roots: the
+    Legendre companion matrix is the symmetric tridiagonal Jacobi matrix
+    (Golub-Welsch), so LAPACK's dsterf solves it in O(n^2) time and O(n)
+    memory.  leggauss's dense eigvalsh (dsyevd) tridiagonalizes first, which
+    leaves a tridiagonal input unchanged, and then calls the same dsterf; so
+    the nodes and weights equal leggauss's bit for bit.  The nodes are exactly
+    antisymmetric and the weights exactly symmetric.
+    """
+    # imported on first use: scipy.linalg at the top of this module added
+    # about 0.04 s to the package import (2-CPU host)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf")
+    # one Newton step; the weights use the derivative from before it
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +162,6 @@ class TimeQuadrature:
         nodes = np.tan(theta) / (4.0 * rate)
         weights = w_theta / (4.0 * rate * np.cos(theta) ** 2)
         return cls(nodes=nodes, weights=weights)
-
-    @classmethod
-    def truncated(cls, n_nodes: int, t_max: float) -> "TimeQuadrature":
-        """Plain Gauss-Legendre on [-t_max, t_max]."""
-        z, w = _legendre(n_nodes)
-        return cls(nodes=t_max * z, weights=t_max * w)
 
     @classmethod
     def single(cls, t: float) -> "TimeQuadrature":
@@ -250,6 +272,11 @@ class FlowPlan:
         self._x2 = grid.x ** 2
         # eta, the dual of the frequency axis read as a spatial axis
         self._eta2 = np.fft.ifftshift(dual.as_spatial_axis().dual().xi) ** 2
+        #: kinds whose phase rows are even, row[j] == row[n - j]: xi^2 and eta^2
+        #: always, x^2 on a grid symmetric to the last bit (the chirp's sign is
+        #: even because n is)
+        self._even = {kind: np.array_equal(a[1:], a[:0:-1]) for kind, a in
+                      (("flow", self._xi2), ("chirp", self._x2), ("fresnel", self._eta2))}
 
     def _mirror(self, sl: slice) -> slice:
         """The t < 0 rows, ascending, that mirror the t >= 0 rows sl of a
@@ -281,19 +308,25 @@ class FlowPlan:
         return table[sl]
 
     def _phases(self, kind: str, sl: slice) -> np.ndarray:
+        """Rows sl of a phase table; an even kind takes exponentials on
+        columns 0..n/2 only and copies column n - j from column j."""
         t = self.tq.nodes[sl, None]
         if kind == "flow":
-            z = 1j * t * self._xi2
-            return np.exp(z, out=z)
-        # 1/4t; a t = 0 node is never factored, so its row is never read
-        s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
+            coef, arg = 1j * t, self._xi2
+        else:
+            # 1/4t; a t = 0 node is never factored, so its row is never read
+            s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
+            coef, arg = (-1j * s, self._x2) if kind == "chirp" else (1j * s, self._eta2)
+        n = self.grid.n
+        h = n // 2 + 1 if self._even[kind] else n
+        z = np.empty((len(t), n), dtype=complex)
+        half = z[:, :h]
+        np.multiply(coef, arg[:h], out=half)
+        np.exp(half, out=half)
         if kind == "chirp":
-            z = -1j * s * self._x2
-            np.exp(z, out=z)
-            z *= self._sign
-            return z
-        z = 1j * s * self._eta2
-        return np.exp(z, out=z)
+            half *= self._sign[:h]
+        z[:, h:] = z[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
+        return z
 
     def _walk(self, kind: str, a: int, b: int):
         """(nodes, phases) over the run of nodes a..b-1 in blocks of at most

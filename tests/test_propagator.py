@@ -18,6 +18,7 @@ from strichartz_lab.propagator import (
     FlowPlan,
     TimeQuadrature,
     _inverse_fourier_profile,
+    _legendre,
     evolve,
     fourier_symmetry_check,
     gaussian_l6_sixth_exact,
@@ -46,6 +47,19 @@ def test_time_quadrature_invariants():
         TimeQuadrature(nodes=np.array([0.0, 0.0]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeQuadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 33, 48, 257, 1025])
+def test_legendre_equals_leggauss_bit_for_bit(n):
+    # leggauss is the reference only: its dense eigensolve of the companion
+    # matrix hands dsterf the same tridiagonal matrix that _legendre does
+    from numpy.polynomial.legendre import leggauss
+
+    z, w = _legendre(n)
+    z0, w0 = leggauss(n)
+    assert z.tobytes() == z0.tobytes()
+    assert w.tobytes() == w0.tobytes()
+    assert not z.flags.writeable and not w.flags.writeable
 
 
 def test_evolve_identity_at_zero(gaussian):
@@ -99,7 +113,8 @@ def test_evolve_range_single_node(gaussian):
 
 
 def test_evolve_range_gaussian_rows(grid, gaussian):
-    tq = TimeQuadrature.truncated(33, 0.4)  # below the wrap horizon
+    z, w = _legendre(33)
+    tq = TimeQuadrature(nodes=0.4 * z, weights=0.4 * w)  # below the wrap horizon
     rows, factored = _plan_rows(gaussian, tq, np.inf)
     assert not factored.any()
     for row, t in zip(rows, tq.nodes):
@@ -286,6 +301,30 @@ def _count_phase_rows(plan):
     return asked
 
 
+def _full_row_phases(plan, kind, sl):
+    """The phase rows of every column, each from its own exponential."""
+    t = plan.tq.nodes[sl, None]
+    s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
+    if kind == "flow":
+        return np.exp(1j * t * plan._xi2)
+    if kind == "chirp":
+        return np.exp(-1j * s * plan._x2) * plan._sign
+    return np.exp(1j * s * plan._eta2)
+
+
+@pytest.mark.parametrize("grid, even_chirp", [
+    (UniformGrid.symmetric(1024, 20.0), True),
+    (UniformGrid(n=64, dx=0.3, x0=-7.1), False),  # off-centre: x^2 is not even
+])
+def test_half_row_phases_equal_full_rows_bit_for_bit(grid, even_chirp):
+    plan = FlowPlan(grid, TimeQuadrature.compactified(33))
+    assert plan._even == {"flow": True, "chirp": even_chirp, "fresnel": True}
+    for kind in ("flow", "chirp", "fresnel"):
+        for sl in (slice(0, 33), slice(17, 20)):
+            rows = plan._phases(kind, sl)
+            assert rows.tobytes() == _full_row_phases(plan, kind, sl).tobytes(), kind
+
+
 @pytest.mark.parametrize("m", [9, 10, 33, 34])
 def test_symmetric_rule_computes_half_the_phase_rows(wide_grid, m):
     f = make_gaussian(wide_grid, a=1.0, b=0.5j)
@@ -341,11 +380,14 @@ def test_functionals_match_weighted_one_node_sums(grid):
 
 
 def test_only_propagator_builds_legendre_rules():
+    # either route to a Legendre rule: numpy's leggauss or its companion
+    # matrix, or the tridiagonal eigensolve _legendre uses
     import ast
     import pathlib
 
     import strichartz_lab
 
+    builders = {"leggauss", "legcompanion", "eigvalsh_tridiagonal"}
     users = set()
     for path in pathlib.Path(strichartz_lab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -355,6 +397,6 @@ def test_only_propagator_builds_legendre_rules():
                 names = [node.attr]
             else:
                 continue
-            if "leggauss" in names:
+            if builders.intersection(names):
                 users.add(path.name)
     assert users == {"propagator.py"}
