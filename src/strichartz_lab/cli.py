@@ -3,7 +3,8 @@
 One subcommand per experiment; `--config` supplies a complete key-value
 config file (defaults are used only when no file is given), `--out` the
 output directory, `--seed` overrides the seed.  Exit codes: 0 all checks
-pass, 1 a check failed (report still written), 2 usage or config error.
+pass, 1 a check failed (report still written), 2 usage or config error
+(one `error:` line, no output directory).
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    default_config,
-    run,
-    validate_config,
-)
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, default_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out_dir = args.out if args.out is not None else Path("runs") / args.experiment
     try:
         if args.config is not None:
             config = ExperimentConfig.from_text(Path(args.config).read_text())
@@ -54,12 +48,10 @@ def main(argv=None) -> int:
             config = default_config(args.experiment)
         if args.seed is not None:
             config.entries["seed"] = str(args.seed)
-        validate_config(config)
+        report = run(config, out_dir)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out_dir = args.out if args.out is not None else Path("runs") / args.experiment
-    report = run(config, out_dir)
     for name, ok in report.checks.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(f"report written to {Path(out_dir) / 'report.txt'}")

@@ -1,16 +1,19 @@
 """Named, reproducible experiments over the library.
 
-Each experiment consumes a plain-text key-value config (explicit about
-every numerical knob; the effective config is echoed in full into each
-report), runs one module pipeline, writes a structured report plus CSV data
-files, and reports pass/fail per named check.  Identical configs and seeds
-produce byte-identical report bodies; wall clock and versions live in a
-trailing metadata section excluded from that guarantee.
+Each experiment consumes a plain-text key-value config that holds its
+inputs and nothing else (every key it reads, echoed in full into each
+report; a key it does not read is refused), runs one module pipeline,
+writes a structured report plus CSV data files, and reports pass/fail per
+named check against fixed acceptance gates, which each report lists under
+[gates].  Identical configs and seeds produce byte-identical report
+bodies; wall clock and versions live in a trailing metadata section
+excluded from that guarantee.
 """
 
 from __future__ import annotations
 
 import platform
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,10 +63,9 @@ class ExperimentConfig:
 
     def get_float(self, key: str) -> float:
         try:
-            value = float(self.get(key))
+            return float(self.get(key))
         except ValueError as err:
             raise ConfigError(f"key {key!r} is not a number: {self.entries[key]!r}") from err
-        return value
 
     def get_float_list(self, key: str) -> list[float]:
         raw = self.get(key)
@@ -102,6 +104,7 @@ class ExperimentConfig:
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
+    gates: dict[str, float] = field(default_factory=dict)
     results: dict[str, str] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
     files: dict[str, str] = field(default_factory=dict)
@@ -114,6 +117,8 @@ class ExperimentReport:
     def body_text(self) -> str:
         lines = ["# strichartz-lab experiment report", "[config]"]
         lines.append(self.config.to_text().rstrip("\n"))
+        lines.append("[gates]")
+        lines += [f"{k} = {v!r}" for k, v in self.gates.items()]
         lines.append("[results]")
         lines += [f"{k} = {v}" for k, v in self.results.items()]
         lines.append("[checks]")
@@ -170,19 +175,17 @@ def _random_smooth_profile(grid: lt.UniformGrid, rng: np.random.Generator) -> lt
 def _run_sharp_constant(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
     grid = _grid_from(config)
     tq = _tq_from(config)
-    tol = config.get_float("check.ratio_abs_tol")
-    roundtrip_tol = config.get_float("check.roundtrip_rel_tol")
-    plancherel_tol = config.get_float("check.plancherel_rel_tol")
-    unitarity_tol = config.get_float("check.unitarity_rel_tol")
+    gate = report.gates
     f = lt.make_gaussian(grid)
     ratio = pr.strichartz_ratio(f, tq)
     coarse = pr.strichartz_ratio(f, pr.TimeQuadrature.compactified((len(tq.nodes) + 1) // 2))
     _record(report.results, "ratio", ratio)
     _record(report.results, "reference_12^(-1/12)", pr.sharp_ratio_exact)
-    _record(report.results, "abs_error", abs(ratio - pr.sharp_ratio_exact))
+    error = abs(ratio - pr.sharp_ratio_exact)
+    _record(report.results, "abs_error", error)
     _record(report.results, "quadrature_error_estimate", abs(ratio - coarse))
     _record(report.results, "time_nodes", len(tq.nodes))
-    report.checks["sharp_constant_matches"] = abs(ratio - pr.sharp_ratio_exact) <= tol
+    report.checks["sharp_constant_matches"] = error <= gate["ratio_abs_tol"]
 
     # foundations: round trip, Plancherel constant, flow unitarity
     rng = np.random.default_rng(config.get_int("seed"))
@@ -201,9 +204,9 @@ def _run_sharp_constant(config: ExperimentConfig, out: Path, report: ExperimentR
     _record(report.results, "roundtrip_rel_error", worst_round)
     _record(report.results, "plancherel_rel_defect", plancherel)
     _record(report.results, "unitarity_rel_drift", unitarity)
-    report.checks["fourier_round_trip"] = worst_round <= roundtrip_tol
-    report.checks["plancherel_constant_2pi"] = plancherel <= plancherel_tol
-    report.checks["evolution_unitary"] = unitarity <= unitarity_tol
+    report.checks["fourier_round_trip"] = worst_round <= gate["roundtrip_rel_tol"]
+    report.checks["plancherel_constant_2pi"] = plancherel <= gate["plancherel_rel_tol"]
+    report.checks["evolution_unitary"] = unitarity <= gate["unitarity_rel_tol"]
 
     lt.save_wavefunction(f, out / "input_state.csv")
     report.files["input_state"] = "input_state.csv"
@@ -215,10 +218,7 @@ def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) 
     strength = config.get_float("start.linear_perturbation")
     tol = config.get_float("picard.tol_l2")
     max_steps = config.get_int("picard.max_steps")
-    ratio_tol = config.get_float("check.ratio_abs_tol")
-    fit_tol = config.get_float("check.logfit_residual_tol")
-    eigen_tol = config.get_float("check.eigen_residual_tol")
-    product_tol = config.get_float("check.product_residual_tol")
+    gate = report.gates
 
     # stationarity at the reference profile: Lambda g0 = omega g0
     g0 = ex.gauge_fix(lt.make_gaussian(grid))
@@ -228,7 +228,7 @@ def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) 
         lt.WaveFunction(grid, lam.values - omega * g0.values), 2) / omega
     _record(report.results, "omega_reference", omega)
     _record(report.results, "eigen_residual", eigen_residual)
-    report.checks["euler_lagrange_fixed_point"] = eigen_residual <= eigen_tol
+    report.checks["euler_lagrange_fixed_point"] = eigen_residual <= gate["eigen_residual_tol"]
 
     x = grid.x
     f0 = lt.WaveFunction(grid, (1.0 + strength * x) * np.exp(-x ** 2))
@@ -251,9 +251,11 @@ def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) 
     _record(report.results, "product_sup_residual", sup_res)
     _record(report.results, "product_rms_residual", rms_res)
     report.checks["picard_converged"] = result.converged
-    report.checks["ratio_at_sharp_constant"] = abs(final.ratio - pr.sharp_ratio_exact) <= ratio_tol
-    report.checks["gaussian_certified"] = fit.residual <= fit_tol and fit.A.real < 0
-    report.checks["functional_equation_residual"] = sup_res <= product_tol
+    report.checks["ratio_at_sharp_constant"] = (abs(final.ratio - pr.sharp_ratio_exact)
+                                                <= gate["ratio_abs_tol"])
+    report.checks["gaussian_certified"] = (fit.residual <= gate["logfit_residual_tol"]
+                                           and fit.A.real < 0)
+    report.checks["functional_equation_residual"] = sup_res <= gate["product_residual_tol"]
     ex.save_trajectory(result, out / "trajectory.csv")
     lt.save_wavefunction(final.f, out / "final_state.csv")
     report.files["trajectory"] = "trajectory.csv"
@@ -264,7 +266,6 @@ def _run_bilinear_sweep(config: ExperimentConfig, out: Path, report: ExperimentR
     s = config.get_float("sweep.band_scale_xi")
     ns = config.get_float_list("sweep.separation_list")
     box = config.get_float("sweep.box_half_width_x")
-    slope_tol = config.get_float("check.slope_max")
     seed = config.get_int("seed")
     result = bl.separation_sweep(s, ns, profile=config.get("sweep.profile"),
                                  seed=seed, box_half_width=box)
@@ -273,9 +274,9 @@ def _run_bilinear_sweep(config: ExperimentConfig, out: Path, report: ExperimentR
     for n_val, v, b in zip(result.ns, result.values, result.bounds):
         _record(report.results, f"value_N_{n_val:g}", v)
         _record(report.results, f"hy_bound_N_{n_val:g}", b)
-    report.checks["slope_at_most_bound"] = result.slope <= slope_tol
+    report.checks["slope_at_most_bound"] = result.slope <= report.gates["slope_max"]
     report.checks["hausdorff_young_upper_bound"] = all(
-        v <= b * (1.0 + 1e-8)
+        v <= b * (1.0 + report.gates["hy_bound_rel_slack"])
         for v, b in zip(result.values, result.bounds) if not np.isnan(b)
     )
     bl.save_sweep(result, out / "sweep.csv")
@@ -287,8 +288,6 @@ def _run_functional_residual(config: ExperimentConfig, out: Path,
     n_samples = config.get_int("sampler.n_samples")
     box = config.get_float("sampler.box_half_width_x")
     seed = config.get_int("seed")
-    gauss_tol = config.get_float("check.gaussian_sup_tol")
-    sech_floor = config.get_float("check.sech_sup_floor")
 
     def gaussian(v):
         return np.exp(-np.asarray(v) ** 2 + 2.0 * np.asarray(v) + 1.0)
@@ -304,8 +303,8 @@ def _run_functional_residual(config: ExperimentConfig, out: Path,
     _record(report.results, "gaussian_rms_residual", rms_g)
     _record(report.results, "sech_sup_residual", sup_s)
     _record(report.results, "sech_rms_residual", rms_s)
-    report.checks["gaussian_residual_vanishes"] = sup_g <= gauss_tol
-    report.checks["sech_residual_discriminates"] = sup_s >= sech_floor
+    report.checks["gaussian_residual_vanishes"] = sup_g <= report.gates["gaussian_sup_tol"]
+    report.checks["sech_residual_discriminates"] = sup_s >= report.gates["sech_sup_floor"]
     with open(out / "residuals.csv", "w") as fh:
         fh.write("profile,sup,rms\n")
         fh.write(f"log-quadratic,{sup_g!r},{rms_g!r}\n")
@@ -348,10 +347,7 @@ def _run_decay_report(config: ExperimentConfig, out: Path, report: ExperimentRep
     s = config.get_float("decay.band_threshold_xi")
     s_grid = config.get_float_list("decay.threshold_list_xi")
     c_grid = config.get_float_list("decay.barrier_c_list")
-    mu_tol = config.get_float("check.mu_abs_tol")
-    probe_tol = config.get_float("check.probe_abs_tol")
-    cr_tol = config.get_float("check.cauchy_riemann_tol")
-    h_limit_tol = config.get_float("check.h_limit_rel_tol")
+    gate = report.gates
 
     f = lt.make_gaussian(grid)
     fit = dc.mu_slope_fit(f)
@@ -376,15 +372,17 @@ def _run_decay_report(config: ExperimentConfig, out: Path, report: ExperimentRep
         _record(report.results, f"o1_s_{sv:g}", o1)
         _record(report.results, f"o2_s_{sv:g}", o2)
 
-    report.checks["mu_matches_quarter"] = abs(fit.mu_hat - 0.25) <= mu_tol
+    report.checks["mu_matches_quarter"] = abs(fit.mu_hat - 0.25) <= gate["mu_abs_tol"]
     report.checks["h_monotone_nonincreasing"] = all(
-        a >= b - 1e-15 for a, b in zip(h_values, h_values[1:])
+        a >= b - gate["h_monotone_abs_slack"] for a, b in zip(h_values, h_values[1:])
     )
-    report.checks["h_limit_matches_eps0"] = abs(h_values[0] - h_zero) <= h_limit_tol * h_zero
+    report.checks["h_limit_matches_eps0"] = (abs(h_values[0] - h_zero)
+                                            <= gate["h_limit_rel_tol"] * h_zero)
     o1s = [p[0] for p in o_pairs]
     report.checks["o1_strictly_decreasing"] = all(a > b for a, b in zip(o1s, o1s[1:]))
-    report.checks["probe_matches_entire_gaussian"] = abs(values[0] - np.e) <= probe_tol
-    report.checks["cauchy_riemann_residual_small"] = float(crs[0]) <= cr_tol
+    report.checks["probe_matches_entire_gaussian"] = (abs(values[0] - np.e)
+                                                      <= gate["probe_abs_tol"])
+    report.checks["cauchy_riemann_residual_small"] = float(crs[0]) <= gate["cauchy_riemann_tol"]
 
     boot = dc.BootstrapReport(
         s=s, mu=s ** (-4.0), eps_grid=eps_grid, h_values=h_values,
@@ -408,9 +406,6 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
     tq = _tq_from(config)
     seed = config.get_int("seed")
     n_random = config.get_int("crosscheck.n_random_sextuples")
-    kappa_tol = config.get_float("check.kappa_spread_tol")
-    gauss_tol = config.get_float("check.gaussian_rel_tol")
-    random_tol = config.get_float("check.random_rel_tol")
 
     calib = [
         lt.make_gaussian(grid),
@@ -425,7 +420,7 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
     _record(report.results, "quadrature_outer_points_per_panel", sx.N_OUTER)
     _record(report.results, "quadrature_angular_points", sx.N_PHI)
     _record(report.results, "time_nodes", len(tq.nodes))
-    report.checks["kappa_constant_across_inputs"] = spread <= kappa_tol
+    report.checks["kappa_constant_across_inputs"] = spread <= report.gates["kappa_spread_tol"]
 
     g = calib[0]
     qs = sx.q_spacetime(g, g, g, g, g, g, tq)
@@ -434,7 +429,7 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
     _record(report.results, "gaussian_q_spacetime", qs)
     _record(report.results, "gaussian_q_quadrature", qq)
     _record(report.results, "gaussian_rel_diff", gauss_rel)
-    report.checks["gaussian_oracle_agreement"] = gauss_rel <= gauss_tol
+    report.checks["gaussian_oracle_agreement"] = gauss_rel <= report.gates["gaussian_rel_tol"]
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -448,7 +443,7 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
         rows.append((i, v_st, v_quad, rel))
     _record(report.results, "random_sextuples", n_random)
     _record(report.results, "random_worst_rel_diff", worst)
-    report.checks["random_oracle_agreement"] = worst <= random_tol
+    report.checks["random_oracle_agreement"] = worst <= report.gates["random_rel_tol"]
 
     with open(out / "crosscheck.csv", "w") as fh:
         fh.write("case,re_spacetime,im_spacetime,re_quadrature,im_quadrature,rel_diff\n")
@@ -470,16 +465,14 @@ _COMMON_DEFAULTS = {
     "time.nodes": "257",
 }
 
+# "defaults" holds every config key an experiment reads, and nothing else;
+# "gates" holds its fixed acceptance tolerances, listed in each report.
 EXPERIMENTS: dict[str, dict] = {
     "sharp-constant": {
         "runner": _run_sharp_constant,
-        "defaults": {
-            **_COMMON_DEFAULTS,
-            "check.ratio_abs_tol": "1e-3",
-            "check.roundtrip_rel_tol": "1e-12",
-            "check.plancherel_rel_tol": "1e-10",
-            "check.unitarity_rel_tol": "1e-12",
-        },
+        "defaults": _COMMON_DEFAULTS,
+        "gates": {"ratio_abs_tol": 1e-3, "roundtrip_rel_tol": 1e-12,
+                  "plancherel_rel_tol": 1e-10, "unitarity_rel_tol": 1e-12},
     },
     "iterate": {
         "runner": _run_iterate,
@@ -488,11 +481,9 @@ EXPERIMENTS: dict[str, dict] = {
             "start.linear_perturbation": "0.1",
             "picard.tol_l2": "1e-8",
             "picard.max_steps": "200",
-            "check.ratio_abs_tol": "1e-3",
-            "check.logfit_residual_tol": "1e-3",
-            "check.eigen_residual_tol": "1e-3",
-            "check.product_residual_tol": "1e-2",
         },
+        "gates": {"ratio_abs_tol": 1e-3, "logfit_residual_tol": 1e-3,
+                  "eigen_residual_tol": 1e-3, "product_residual_tol": 1e-2},
     },
     "bilinear-sweep": {
         "runner": _run_bilinear_sweep,
@@ -502,8 +493,8 @@ EXPERIMENTS: dict[str, dict] = {
             "sweep.separation_list": "4,8,16,32,64",
             "sweep.box_half_width_x": "80.0",
             "sweep.profile": "flat",
-            "check.slope_max": "-0.11666666666666667",
         },
+        "gates": {"slope_max": -0.11666666666666667, "hy_bound_rel_slack": 1e-8},
     },
     "functional-residual": {
         "runner": _run_functional_residual,
@@ -511,13 +502,13 @@ EXPERIMENTS: dict[str, dict] = {
             "seed": "12345",
             "sampler.n_samples": "10000",
             "sampler.box_half_width_x": "3.0",
-            "check.gaussian_sup_tol": "1e-10",
-            "check.sech_sup_floor": "0.05",
         },
+        "gates": {"gaussian_sup_tol": 1e-10, "sech_sup_floor": 0.05},
     },
     "power-sums": {
         "runner": _run_power_sums,
         "defaults": {"powersums.kmax": "200"},
+        "gates": {},  # both checks are exact integer comparisons
     },
     "decay-report": {
         "runner": _run_decay_report,
@@ -526,21 +517,14 @@ EXPERIMENTS: dict[str, dict] = {
             "decay.band_threshold_xi": "2.0",
             "decay.threshold_list_xi": "2.0,2.5,3.0",
             "decay.barrier_c_list": "1.0,10.0,100.0",
-            "check.mu_abs_tol": "1e-3",
-            "check.probe_abs_tol": "1e-8",
-            "check.cauchy_riemann_tol": "1e-6",
-            "check.h_limit_rel_tol": "1e-6",
         },
+        "gates": {"mu_abs_tol": 1e-3, "h_monotone_abs_slack": 1e-15, "h_limit_rel_tol": 1e-6,
+                  "probe_abs_tol": 1e-8, "cauchy_riemann_tol": 1e-6},
     },
     "q-crosscheck": {
         "runner": _run_q_crosscheck,
-        "defaults": {
-            **_COMMON_DEFAULTS,
-            "crosscheck.n_random_sextuples": "10",
-            "check.kappa_spread_tol": "1e-3",
-            "check.gaussian_rel_tol": "1e-2",
-            "check.random_rel_tol": "2e-2",
-        },
+        "defaults": {**_COMMON_DEFAULTS, "crosscheck.n_random_sextuples": "10"},
+        "gates": {"kappa_spread_tol": 1e-3, "gaussian_rel_tol": 1e-2, "random_rel_tol": 2e-2},
     },
 }
 
@@ -553,30 +537,42 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Every key the experiment consumes must be present; a config file is
-    complete or rejected (no silent default filling)."""
+    """The config must hold exactly the keys the experiment reads: a config
+    file is complete or rejected (no silent default filling), and a key
+    that would change nothing, such as an acceptance gate, is refused."""
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    required = EXPERIMENTS[config.experiment]["defaults"].keys()
-    missing = [k for k in required if k not in config.entries]
+    keys = EXPERIMENTS[config.experiment]["defaults"].keys()
+    missing = sorted(keys - config.entries.keys())
     if missing:
-        raise ConfigError(f"config is missing required keys: {', '.join(sorted(missing))}")
+        raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
+    unknown = sorted(config.entries.keys() - keys)
+    if unknown:
+        raise ConfigError(f"config has keys {config.experiment} does not read: "
+                          f"{', '.join(unknown)}")
 
 
 def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute one experiment; writes report.txt and data files into out_dir.
 
-    Raises ConfigError for unusable configs before touching the output
-    directory.  Check failures do not raise; they are recorded in the
-    report.
+    Raises ConfigError for an unusable config, including a value that does
+    not parse or that the library rejects, and then leaves no directory
+    behind that the call created.  Check failures do not raise; they are
+    recorded in the report.
     """
     validate_config(config)
-    runner = EXPERIMENTS[config.experiment]["runner"]
+    spec = EXPERIMENTS[config.experiment]
     out = Path(out_dir)
+    created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(config=config)
+    report = ExperimentReport(config=config, gates=dict(spec["gates"]))
     started = time.perf_counter()
-    runner(config, out, report)
+    try:
+        spec["runner"](config, out, report)
+    except ValueError as err:  # ConfigError, or a value the library rejects
+        if created is not None:
+            shutil.rmtree(created)
+        raise ConfigError(str(err)) from err
     elapsed = time.perf_counter() - started
     report.meta["versions"] = (
         f"python {platform.python_version()}; numpy {np.__version__}; "

@@ -69,6 +69,17 @@ class ConstraintSextuple:
             )
 
 
+def _circle_points(xyz: np.ndarray, theta: np.ndarray | float) -> np.ndarray:
+    """(s/3)(1,1,1) + r (cos theta U1 + sin theta U2) for the triples along
+    the last axis of xyz, with s their sum, q their square sum and
+    r = sqrt(q - s^2/3); rounding below zero is clipped to r = 0."""
+    s = xyz.sum(axis=-1)
+    q = (xyz ** 2).sum(axis=-1)
+    r = np.sqrt(np.maximum(q - s ** 2 / 3.0, 0.0))
+    return (s / 3.0)[..., None] + r[..., None] * (np.cos(theta)[..., None] * _U1
+                                                 + np.sin(theta)[..., None] * _U2)
+
+
 def constraint_circle(x: float, y: float, z: float, theta: float) -> ConstraintSextuple:
     """The point at angle theta on the constraint circle through (x, y, z).
 
@@ -76,14 +87,7 @@ def constraint_circle(x: float, y: float, z: float, theta: float) -> ConstraintS
     sphere a^2+b^2+c^2 = x^2+y^2+z^2: center (s/3)(1,1,1), radius
     sqrt(q - s^2/3).  Degenerate x = y = z gives the single point itself.
     """
-    s = x + y + z
-    q = x * x + y * y + z * z
-    r_sq = q - s * s / 3.0
-    if r_sq < -1e-12 * max(1.0, q):
-        raise ValueError("q - s^2/3 < 0 is impossible for real triples")
-    r = np.sqrt(max(r_sq, 0.0))
-    center = (s / 3.0) * np.ones(3)
-    point = center + r * (np.cos(theta) * _U1 + np.sin(theta) * _U2)
+    point = _circle_points(np.array([x, y, z], dtype=float), theta)
     return ConstraintSextuple(left=(x, y, z), right=tuple(float(v) for v in point))
 
 
@@ -120,13 +124,7 @@ def residual_samples(f, n_samples: int, seed: int, sampler_box: float = 3.0) -> 
     ev = _as_evaluator(f)
     xyz = rng.uniform(-sampler_box, sampler_box, size=(n_samples, 3))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
-    s = xyz.sum(axis=1)
-    q = (xyz ** 2).sum(axis=1)
-    r = np.sqrt(np.maximum(q - s ** 2 / 3.0, 0.0))
-    center = s[:, None] / 3.0
-    right = (center + r[:, None] * (np.cos(theta)[:, None] * _U1[None, :]
-                                    + np.sin(theta)[:, None] * _U2[None, :]))
-    pts = np.concatenate([xyz, right], axis=1)
+    pts = np.concatenate([xyz, _circle_points(xyz, theta)], axis=1)
     return _relative_defect(np.asarray(ev(pts.ravel()), dtype=complex).reshape(n_samples, 6))
 
 

@@ -355,16 +355,29 @@ def save_wavefunction(f: WaveFunction, path) -> None:
 
 
 def load_wavefunction(path) -> WaveFunction:
+    """Read a file written by save_wavefunction.
+
+    Raises ValueError, naming the path, for a file that is not one or whose
+    axis column disagrees with the grid its header describes.
+    """
     with open(path) as fh:
-        meta = fh.readline().strip()
+        meta = fh.readline().split()
         fh.readline()  # column header
         rows = [line.split(",") for line in fh if line.strip()]
-    fields = dict(tok.split("=") for tok in meta.lstrip("# ").split()[2:])
-    kind = meta.split("kind=")[1].split()[0]
-    values = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    if kind == "space":
-        grid: Grid = UniformGrid(n=int(fields["n"]), dx=float(fields["dx"]), x0=float(fields["x0"]))
-    else:
-        grid = FrequencyGrid(n=int(fields["n"]), dxi=float(fields["dxi"]),
-                             x0_space=float(fields["x0_space"]))
-    return WaveFunction(grid, values)
+    try:
+        if meta[:2] != ["#", "wavefunction"]:
+            raise ValueError("no '# wavefunction' header line")
+        fields = dict(tok.split("=") for tok in meta[2:])
+        if fields["kind"] == "space":
+            grid: Grid = UniformGrid(n=int(fields["n"]), dx=float(fields["dx"]),
+                                     x0=float(fields["x0"]))
+        else:
+            grid = FrequencyGrid(n=int(fields["n"]), dxi=float(fields["dxi"]),
+                                 x0_space=float(fields["x0_space"]))
+        table = np.array(rows, dtype=float)
+        f = WaveFunction(grid, table[:, 1] + 1j * table[:, 2])
+    except (ValueError, KeyError, IndexError) as err:
+        raise ValueError(f"{path} is not a wavefunction file: {err}") from err
+    if not np.array_equal(table[:, 0], f.axis):
+        raise ValueError(f"{path}: the axis column disagrees with the grid in its header")
+    return f

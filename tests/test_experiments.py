@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 
 from strichartz_lab.cli import main
 from strichartz_lab.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -12,8 +12,37 @@ from strichartz_lab.experiments import (
 from strichartz_lab.extremizer import ANDERSON_DEPTH
 
 
+#: a config per experiment small enough for Tier-1; every experiment needs one
+REDUCED = {
+    "sharp-constant": {},
+    "iterate": {},
+    "bilinear-sweep": {"sweep.separation_list": "4,8"},
+    "functional-residual": {"sampler.n_samples": "2000"},
+    "power-sums": {},
+    "decay-report": {},
+    "q-crosscheck": {"crosscheck.n_random_sextuples": "1"},
+}
+
+
 def strip_meta(text: str) -> str:
     return text.split("[meta]")[0]
+
+
+@pytest.fixture(scope="module")
+def reduced_run(tmp_path_factory):
+    """(directory, first report, second report) of each experiment run twice
+    on its reduced config, into directory/a and directory/b, on first request."""
+    done = {}
+
+    def get(name):
+        if name not in done:
+            cfg = default_config(name)
+            cfg.entries.update(REDUCED[name])
+            base = tmp_path_factory.mktemp(name)
+            done[name] = base, run(cfg, base / "a"), run(cfg, base / "b")
+        return done[name]
+
+    return get
 
 
 def test_config_round_trip():
@@ -30,6 +59,10 @@ def test_config_validation_errors():
     del cfg.entries["grid.n"]
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    cfg = default_config("sharp-constant")
+    cfg.entries["grid.spacing"] = "0.1"
+    with pytest.raises(ConfigError, match="grid.spacing"):
+        validate_config(cfg)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("grid.n = 64\n")  # no experiment line
     with pytest.raises(ConfigError):
@@ -45,52 +78,47 @@ def test_run_rejects_bad_config_without_output(tmp_path):
     assert not out.exists()
 
 
-def test_sharp_constant_experiment(tmp_path):
-    report = run(default_config("sharp-constant"), tmp_path / "sc")
-    assert report.all_pass
-    assert (tmp_path / "sc" / "report.txt").exists()
-    assert (tmp_path / "sc" / "input_state.csv").exists()
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_passes_deterministically(name, reduced_run):
+    assert name in REDUCED, f"{name} needs a reduced config in REDUCED"
+    base, r1, r2 = reduced_run(name)
+    assert r1.all_pass
+    assert all((base / "a" / f).exists() for f in r1.files.values())
+    body_a = strip_meta((base / "a" / "report.txt").read_text())
+    body_b = strip_meta((base / "b" / "report.txt").read_text())
+    assert body_a == body_b == strip_meta(r2.to_text())
+    # the fixed acceptance gates are listed in the report body
+    listed = body_a.split("[gates]\n")[1].split("[results]\n")[0].splitlines()
+    assert listed == [f"{k} = {v!r}" for k, v in EXPERIMENTS[name]["gates"].items()]
+
+
+def test_no_config_key_is_a_gate():
+    for spec in EXPERIMENTS.values():
+        assert not [k for k in spec["defaults"] if k.startswith("check.")]
+
+
+def test_sharp_constant_experiment(reduced_run):
+    _, report, _ = reduced_run("sharp-constant")
     assert float(report.results["ratio"]) == pytest.approx(12 ** (-1 / 12), abs=1e-3)
 
 
-def test_power_sums_experiment(tmp_path):
-    report = run(default_config("power-sums"), tmp_path / "ps")
-    assert report.all_pass
-    table = (tmp_path / "ps" / "power_sums.txt").read_text().splitlines()
+def test_power_sums_experiment(reduced_run):
+    base, _, _ = reduced_run("power-sums")
+    table = (base / "a" / "power_sums.txt").read_text().splitlines()
     assert table[1].split() == ["k", "lucas", "p", "bound_num", "bound_den", "holds"]
     assert len(table) == 2 + 198
 
 
-def test_functional_residual_determinism(tmp_path):
-    cfg = default_config("functional-residual")
-    cfg.entries["sampler.n_samples"] = "2000"
-    r1 = run(cfg, tmp_path / "a")
-    r2 = run(cfg, tmp_path / "b")
-    assert strip_meta(r1.to_text()) == strip_meta(r2.to_text())
-    body_a = strip_meta((tmp_path / "a" / "report.txt").read_text())
-    body_b = strip_meta((tmp_path / "b" / "report.txt").read_text())
-    assert body_a == body_b
-    assert r1.all_pass
-
-
-def test_iterate_determinism(tmp_path):
+def test_iterate_experiment(reduced_run):
     # the Anderson mixing adds a least-squares solve to every Picard step
-    cfg = default_config("iterate")
-    r1 = run(cfg, tmp_path / "a")
-    r2 = run(cfg, tmp_path / "b")
-    body_a = strip_meta((tmp_path / "a" / "report.txt").read_text())
-    body_b = strip_meta((tmp_path / "b" / "report.txt").read_text())
-    assert body_a == body_b
-    assert r1.all_pass
-    assert r1.results["mixing_depth"] == str(ANDERSON_DEPTH)
-    assert int(r1.results["lambda_evaluations"]) == int(r1.results["steps"])
+    _, report, _ = reduced_run("iterate")
+    assert report.results["mixing_depth"] == str(ANDERSON_DEPTH)
+    assert int(report.results["lambda_evaluations"]) == int(report.results["steps"])
 
 
-def test_decay_report_experiment(tmp_path):
-    report = run(default_config("decay-report"), tmp_path / "decay")
-    assert report.all_pass
-    assert (tmp_path / "decay" / "bootstrap_report.txt").exists()
-    h_lines = (tmp_path / "decay" / "h_curve.csv").read_text().splitlines()
+def test_decay_report_experiment(reduced_run):
+    base, _, _ = reduced_run("decay-report")
+    h_lines = (base / "a" / "h_curve.csv").read_text().splitlines()
     assert h_lines[0] == "eps,H"
     assert len(h_lines) == 1 + 1 + 10  # header, eps = 0 row, 10-point grid
 
@@ -145,3 +173,27 @@ def test_cli_seed_override(tmp_path):
                  "--out", str(tmp_path / "r1"), "--seed", "99"]) == 0
     report = (tmp_path / "r1" / "report.txt").read_text()
     assert "seed = 99" in report
+
+
+@pytest.mark.parametrize("experiment, entries, args, named", [
+    ("sharp-constant", {"check.ratio_abs_tol": "1e-3"}, [], "check.ratio_abs_tol"),
+    ("sharp-constant", {"grid.spacing": "0.1"}, [], "grid.spacing"),
+    ("power-sums", None, ["--seed", "5"], "seed"),
+    ("sharp-constant", {"grid.n": "abc"}, [], "'abc'"),
+    ("sharp-constant", {"grid.n": "1000"}, [], "1000"),
+    ("bilinear-sweep", {"sweep.profile": "nope"}, [], "'nope'"),
+])
+def test_cli_refused_config_exits_2_without_output(tmp_path, capsys, experiment, entries,
+                                                   args, named):
+    # a key the experiment does not read, or a value that does not parse or
+    # that the library rejects: one error line, exit 2, no directory made
+    if entries is not None:
+        cfg = default_config(experiment)
+        cfg.entries.update(entries)
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg.to_text())
+        args = [*args, "--config", str(path)]
+    assert main([experiment, "--out", str(tmp_path / "runs" / "never"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "runs").exists()

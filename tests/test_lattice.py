@@ -233,3 +233,20 @@ def test_wavefunction_csv_round_trip(tmp_path, grid, rng):
     assert isinstance(ghat.grid, FrequencyGrid)
     assert ghat.grid == fhat.grid
     np.testing.assert_array_equal(ghat.values, fhat.values)
+
+
+def test_load_wavefunction_rejects_other_files(tmp_path, grid):
+    other = tmp_path / "trajectory.csv"
+    other.write_text("# picard-trajectory steps=1 converged=True depth=3\n"
+                     "step,delta,ratio,omega\n0,,0.8,449.9\n")
+    with pytest.raises(ValueError, match="trajectory.csv"):
+        load_wavefunction(other)
+    # an axis column that disagrees with the header's grid
+    path = tmp_path / "wf.csv"
+    save_wavefunction(make_gaussian(grid), path)
+    lines = path.read_text().splitlines(keepends=True)
+    x, rest = lines[5].split(",", 1)
+    lines[5] = f"{float(x) + grid.dx!r},{rest}"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="wf.csv"):
+        load_wavefunction(path)

@@ -25,6 +25,7 @@ from strichartz_lab.sextic_form import (
     _cells,
     _hat_spline,
     _interpolate,
+    _support_panels,
     q_spacetime,
     weight,
 )
@@ -272,3 +273,20 @@ def test_m_weighted_requires_one_grid(grid):
     other = forward_transform(make_gaussian(UniformGrid.symmetric(n=512, half_width=20.0)))
     with pytest.raises(GridMismatchError):
         m_weighted(g, g, g, g, g, other, WeightParams(0.0, 0.0), n_outer=8, n_phi=8)
+
+
+def test_support_panels_merge_split_and_zero(grid):
+    dual = grid.dual()
+    xi, pad = dual.xi, 3.0 * dual.dxi
+
+    def panels(*bands):
+        vals = np.zeros(dual.n, dtype=complex)
+        for lo, hi in bands:
+            vals[lo:hi + 1] = 1.0
+        return _support_panels(WaveFunction(dual, vals))
+
+    # runs closer than three pads (15 cells between starts here) share one panel
+    assert panels((500, 510), (516, 520)) == [(xi[500] - pad, xi[520] + pad)]
+    assert panels((300, 310), (700, 710)) == [(xi[300] - pad, xi[310] + pad),
+                                              (xi[700] - pad, xi[710] + pad)]
+    assert panels() == [(-pad, pad)]
