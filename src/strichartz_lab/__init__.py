@@ -53,7 +53,6 @@ from .extremizer import (
     save_trajectory,
 )
 from .bilinear import (
-    BandSpec,
     SweepResult,
     bilinear_l3,
     hausdorff_young_density,
@@ -75,7 +74,6 @@ from .functional_equation import (
 )
 from .decay import (
     BandDecomposition,
-    BootstrapReport,
     GScanResult,
     MuSlopeFit,
     analytic_extension_probe,

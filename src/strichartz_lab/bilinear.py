@@ -21,7 +21,7 @@ it is a true numeric upper bound for bilinear_l3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .lattice import (
 from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature
 
 __all__ = [
-    "BandSpec",
     "SweepResult",
     "bilinear_l3",
     "hausdorff_young_density",
@@ -48,40 +47,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    """Symmetric frequency band: low (|xi| <= s), high (Ns <= |xi| <= 2Ns),
-    or an explicit annulus lo <= |xi| <= hi."""
-
-    kind: str
-    s: float = 1.0
-    N: float = 0.0
-    lo: float = 0.0
-    hi: float = 0.0
-
-    def bounds(self) -> tuple[float, float]:
-        if self.kind == "low":
-            return 0.0, self.s
-        if self.kind == "high":
-            if not self.N > 1:
-                raise ValueError("high band requires separation factor N > 1")
-            return self.N * self.s, 2.0 * self.N * self.s
-        if self.kind == "annulus":
-            if not 0 <= self.lo < self.hi:
-                raise ValueError("annulus requires 0 <= lo < hi")
-            return self.lo, self.hi
-        raise ValueError(f"unknown band kind {self.kind!r}")
-
-
-def make_band_limited(grid: UniformGrid, spec: BandSpec, profile: str = "flat",
+def make_band_limited(grid: UniformGrid, lo: float, hi: float, profile: str = "flat",
                       seed: int = 0) -> WaveFunction:
     """Unit-L^2 function whose transform is supported exactly in the band
-    (hard cutoff on the frequency grid).
+    lo <= |xi| <= hi (hard cutoff on the frequency grid).
 
     Profiles: "flat" (constant modulus), "random" (seeded complex normal
     samples), "gaussian-bump" (smooth bump centered in the band).
     """
-    lo, hi = spec.bounds()
+    if not 0 <= lo < hi:
+        raise ValueError(f"band requires 0 <= lo < hi, got [{lo}, {hi}]")
     dual = grid.dual()
     if hi > dual.nyquist:
         raise ValueError(f"band [{lo}, {hi}] exceeds the Nyquist frequency {dual.nyquist:.4g}")
@@ -164,7 +139,6 @@ class SweepResult:
     ns: list[float]
     values: list[float]
     bounds: list[float]
-    excluded: list[float] = field(default_factory=list)
 
     @property
     def slope(self) -> float:
@@ -203,39 +177,28 @@ def separation_sweep(s: float, Ns: list[float], profile: str = "flat", seed: int
     """Table of (N, bilinear_l3) for unit-norm separated pairs and the fitted
     log-log slope.
 
-    N = 1 entries are evaluated but excluded from the fit (the separation
-    hypothesis requires N >> 1).  Grids are enlarged with N so no band is
-    ever clipped by the Nyquist frequency (silent clipping would fake
-    decay), and the time rule is refined with N to track the shrinking
-    decoherence scale.  Passing tq overrides the per-N rule.
+    N <= 1 entries are evaluated but excluded from the fit (the separation
+    hypothesis requires N >> 1); where their bands touch on the grid, the
+    Hausdorff-Young bound is singular and reads nan.  Grids are enlarged
+    with N so no band is ever clipped by the Nyquist frequency (silent
+    clipping would fake decay), and the time rule is refined with N to
+    track the shrinking decoherence scale.  Passing tq overrides the per-N
+    rule.
     """
     values = []
     bounds = []
-    excluded = []
     for N in Ns:
         grid = sweep_grid(N, s, box_half_width)
-        dual = grid.dual()
-        if 2.0 * N * s > dual.nyquist:
-            raise ValueError(f"band 2Ns = {2 * N * s} clipped by Nyquist {dual.nyquist}")
-        h1 = make_band_limited(grid, BandSpec("low", s=s), profile, seed)
-        if N > 1:
-            high_spec = BandSpec("high", s=s, N=N)
-        else:
-            # control point: the separation hypothesis fails, but the band
-            # geometry is still well defined as an annulus
-            high_spec = BandSpec("annulus", lo=N * s, hi=2.0 * N * s)
-        h2 = make_band_limited(grid, high_spec, profile, seed + 1)
+        h1 = make_band_limited(grid, 0.0, s, profile, seed)
+        h2 = make_band_limited(grid, N * s, 2.0 * N * s, profile, seed + 1)
         pair_tq = tq if tq is not None else pair_time_quadrature(max(N, 1.0), s)
         values.append(bilinear_l3(h1, h2, pair_tq))
         try:
             bounds.append(hausdorff_young_density(h1, h2))
         except ValueError:
-            # touching supports make the Jacobian singular at N <= 1
             bounds.append(float("nan"))
-        if N <= 1:
-            excluded.append(N)
     return SweepResult(s=s, profile=profile, seed=seed, ns=list(Ns), values=values,
-                       bounds=bounds, excluded=excluded)
+                       bounds=bounds)
 
 
 def save_sweep(result: SweepResult, path) -> None:

@@ -12,7 +12,7 @@ integral at complex arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -22,7 +22,6 @@ from .sextic_form import WeightParams, weight
 
 __all__ = [
     "BandDecomposition",
-    "BootstrapReport",
     "GScanResult",
     "MuSlopeFit",
     "analytic_extension_probe",
@@ -30,7 +29,6 @@ __all__ = [
     "bootstrap_smallness",
     "g_polynomial_scan",
     "mu_slope_fit",
-    "save_bootstrap_report",
     "tail_norm_H",
 ]
 
@@ -179,8 +177,6 @@ def bootstrap_smallness(f: WaveFunction, s: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GScanResult:
-    omega: float
-    c: float
     m_sup: float
     x0: float
     x1: float
@@ -208,8 +204,7 @@ def g_polynomial_scan(omega: float, c: float) -> GScanResult:
     (x_max,) = _positive_roots(g.deriv())
     m_sup = float(g(x_max))
     x0, x1 = _positive_roots(g - 0.5 * m_sup)
-    return GScanResult(omega=omega, c=c, m_sup=m_sup, x0=float(x0), x1=float(x1),
-                       x_max=float(x_max))
+    return GScanResult(m_sup=m_sup, x0=float(x0), x1=float(x1), x_max=float(x_max))
 
 
 # ---------------------------------------------------------------------------
@@ -257,47 +252,3 @@ def analytic_extension_probe(f: WaveFunction, zs):
     cr = 0.5 * (d_re + 1j * d_im)
     scale = np.abs(d_re) + np.abs(values) + 1e-30
     return values, np.abs(cr) / scale
-
-
-# ---------------------------------------------------------------------------
-# report container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BootstrapReport:
-    """Structured record of one decay/bootstrap run."""
-
-    s: float
-    mu: float
-    eps_grid: list[float]
-    h_values: list[float]
-    o1: float
-    o2: float
-    omega: float
-    c_grid: list[float]
-    g_scans: list[GScanResult]
-    mu_fit: MuSlopeFit
-    s_grid: list[float] = field(default_factory=list)
-    o1_along_s: list[float] = field(default_factory=list)
-
-
-def save_bootstrap_report(report: BootstrapReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# bootstrap-report\n")
-        fh.write(f"s = {float(report.s)!r}\n")
-        fh.write(f"mu = {float(report.mu)!r}\n")
-        fh.write(f"o1 = {float(report.o1)!r}\n")
-        fh.write(f"o2 = {float(report.o2)!r}\n")
-        fh.write(f"omega = {float(report.omega)!r}\n")
-        fh.write(f"mu_hat = {float(report.mu_fit.mu_hat)!r}\n")
-        fh.write(f"mu_fit_residual = {float(report.mu_fit.residual)!r}\n")
-        fh.write(f"mu_certified = {float(report.mu_fit.certified_mu)!r}\n")
-        fh.write(f"s_grid = {','.join(repr(float(v)) for v in report.s_grid)}\n")
-        fh.write(f"o1_along_s = {','.join(repr(float(v)) for v in report.o1_along_s)}\n")
-        fh.write("eps,H\n")
-        for eps, hval in zip(report.eps_grid, report.h_values):
-            fh.write(f"{float(eps)!r},{float(hval)!r}\n")
-        fh.write("C,M,x0,x1\n")
-        for c, scan in zip(report.c_grid, report.g_scans):
-            fh.write(f"{float(c)!r},{float(scan.m_sup)!r},{float(scan.x0)!r},"
-                     f"{float(scan.x1)!r}\n")

@@ -92,6 +92,8 @@ class ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in entries or (key == "experiment" and experiment is not None):
+                raise ConfigError(f"line {ln}: repeated key {key!r}")
             if key == "experiment":
                 experiment = value
             else:
@@ -253,8 +255,7 @@ def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) 
     report.checks["picard_converged"] = result.converged
     report.checks["ratio_at_sharp_constant"] = (abs(final.ratio - pr.sharp_ratio_exact)
                                                 <= gate["ratio_abs_tol"])
-    report.checks["gaussian_certified"] = (fit.residual <= gate["logfit_residual_tol"]
-                                           and fit.A.real < 0)
+    report.checks["gaussian_certified"] = fit.gaussian_certified
     report.checks["functional_equation_residual"] = sup_res <= gate["product_residual_tol"]
     ex.save_trajectory(result, out / "trajectory.csv")
     lt.save_wavefunction(final.f, out / "final_state.csv")
@@ -384,20 +385,17 @@ def _run_decay_report(config: ExperimentConfig, out: Path, report: ExperimentRep
                                                       <= gate["probe_abs_tol"])
     report.checks["cauchy_riemann_residual_small"] = float(crs[0]) <= gate["cauchy_riemann_tol"]
 
-    boot = dc.BootstrapReport(
-        s=s, mu=s ** (-4.0), eps_grid=eps_grid, h_values=h_values,
-        o1=o_pairs[0][0] if o_pairs else float("nan"),
-        o2=o_pairs[0][1] if o_pairs else float("nan"),
-        omega=omega, c_grid=c_grid, g_scans=scans, mu_fit=fit,
-        s_grid=s_grid, o1_along_s=o1s,
-    )
-    dc.save_bootstrap_report(boot, out / "bootstrap_report.txt")
+    with open(out / "g_scan.csv", "w") as fh:
+        fh.write("C,M,x0,x1\n")
+        for c, scan in zip(c_grid, scans):
+            fh.write(f"{float(c)!r},{float(scan.m_sup)!r},{float(scan.x0)!r},"
+                     f"{float(scan.x1)!r}\n")
     with open(out / "h_curve.csv", "w") as fh:
         fh.write("eps,H\n")
         fh.write(f"0.0,{float(h_zero)!r}\n")
         for eps, hval in zip(eps_grid, h_values):
             fh.write(f"{float(eps)!r},{float(hval)!r}\n")
-    report.files["bootstrap_report"] = "bootstrap_report.txt"
+    report.files["g_scan"] = "g_scan.csv"
     report.files["h_curve"] = "h_curve.csv"
 
 
@@ -458,12 +456,12 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
 # registry and entry point
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "seed": "12345",
+_GRID_DEFAULTS = {
     "grid.n": "1024",
     "grid.half_width_x": "20.0",
     "time.nodes": "257",
 }
+_COMMON_DEFAULTS = {"seed": "12345", **_GRID_DEFAULTS}
 
 # "defaults" holds every config key an experiment reads, and nothing else;
 # "gates" holds its fixed acceptance tolerances, listed in each report.
@@ -482,7 +480,7 @@ EXPERIMENTS: dict[str, dict] = {
             "picard.tol_l2": "1e-8",
             "picard.max_steps": "200",
         },
-        "gates": {"ratio_abs_tol": 1e-3, "logfit_residual_tol": 1e-3,
+        "gates": {"ratio_abs_tol": 1e-3, "logfit_residual_tol": fe.LOGFIT_RESIDUAL_TOL,
                   "eigen_residual_tol": 1e-3, "product_residual_tol": 1e-2},
     },
     "bilinear-sweep": {
@@ -513,7 +511,7 @@ EXPERIMENTS: dict[str, dict] = {
     "decay-report": {
         "runner": _run_decay_report,
         "defaults": {
-            **_COMMON_DEFAULTS,
+            **_GRID_DEFAULTS,
             "decay.band_threshold_xi": "2.0",
             "decay.threshold_list_xi": "2.0,2.5,3.0",
             "decay.barrier_c_list": "1.0,10.0,100.0",

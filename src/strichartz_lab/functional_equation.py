@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _RESIDUAL_FLOOR = 1e-300
+#: largest RMS log-fit misfit QuadraticFit.gaussian_certified accepts
+LOGFIT_RESIDUAL_TOL = 1e-3
 #: largest adjacent-sample phase jump _unwrap_from accepts without a warning
 _JUMP_TOL = 0.5 * np.pi
 
@@ -188,11 +190,10 @@ class QuadraticFit:
     B: complex
     C: complex
     residual: float
-    support_mass: float
 
     @property
     def gaussian_certified(self) -> bool:
-        return self.residual <= 1e-3 and self.A.real < 0
+        return self.residual <= LOGFIT_RESIDUAL_TOL and self.A.real < 0
 
 
 def _unwrap_from(idx: int, phase: np.ndarray) -> np.ndarray:
@@ -216,8 +217,8 @@ def quadratic_log_fit(f: WaveFunction, floor_ratio: float = 1e-5) -> QuadraticFi
     |f| >= floor_ratio * max |f|.
 
     The phase is unwrapped along the grid outward from the magnitude peak.
-    The verdict gaussian_certified requires RMS residual <= 1e-3 and a
-    strictly contracting quadratic part Re(A) < 0.
+    The verdict gaussian_certified requires RMS residual at most
+    LOGFIT_RESIDUAL_TOL and a strictly contracting quadratic part Re(A) < 0.
     """
     if not 0.0 < floor_ratio < 1.0:
         raise ValueError("floor_ratio must lie in (0, 1)")
@@ -252,5 +253,4 @@ def quadratic_log_fit(f: WaveFunction, floor_ratio: float = 1e-5) -> QuadraticFi
         B=complex(coeffs[1]),
         C=complex(coeffs[2]),
         residual=float(np.sqrt(np.mean(np.abs(misfit) ** 2))),
-        support_mass=float(above.mean()),
     )

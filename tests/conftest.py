@@ -11,6 +11,14 @@ from strichartz_lab.lattice import (
 from strichartz_lab.propagator import default_time_quadrature
 
 
+def pytest_configure(config):
+    # like RuntimeWarning in pyproject.toml, the library's own warnings fail
+    # any test that does not assert them; set here rather than there so that
+    # a pytest run outside tests/ need not import the package
+    for category in ("lattice.AliasingWarning", "functional_equation.PhaseUnwrapWarning"):
+        config.addinivalue_line("filterwarnings", f"error::strichartz_lab.{category}")
+
+
 @pytest.fixture(scope="session")
 def grid():
     return UniformGrid.symmetric(n=1024, half_width=20.0)

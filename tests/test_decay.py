@@ -4,7 +4,7 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from strichartz_lab.bilinear import BandSpec, make_band_limited
+from strichartz_lab.bilinear import make_band_limited
 from strichartz_lab.decay import (
     analytic_extension_probe,
     band_decompose,
@@ -51,7 +51,7 @@ def test_band_decompose_gaussian_tail_scale(gaussian):
 
 
 def test_band_decompose_empty_tail(grid):
-    f = make_band_limited(grid, BandSpec("low", s=1.5), "flat")
+    f = make_band_limited(grid, 0.0, 1.5, "flat")
     d = band_decompose(f, 2.0)
     assert np.abs(d.high.values).max() <= 1e-12
 
@@ -127,7 +127,7 @@ def test_bootstrap_smallness_values(gaussian):
 
 def test_bootstrap_smallness_compact_support(grid):
     # spectrum inside |xi| < s kills the middle band exactly
-    f = make_band_limited(grid, BandSpec("low", s=1.5), "gaussian-bump")
+    f = make_band_limited(grid, 0.0, 1.5, "gaussian-bump")
     s = 2.0
     mu = s ** (-4.0)
     o1, _ = bootstrap_smallness(f, s)

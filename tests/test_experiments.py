@@ -1,3 +1,6 @@
+from contextlib import nullcontext
+
+import numpy as np
 import pytest
 
 from strichartz_lab.cli import main
@@ -10,6 +13,8 @@ from strichartz_lab.experiments import (
     validate_config,
 )
 from strichartz_lab.extremizer import ANDERSON_DEPTH
+from strichartz_lab.functional_equation import PhaseUnwrapWarning
+from strichartz_lab.lattice import AliasingWarning
 
 
 #: a config per experiment small enough for Tier-1; every experiment needs one
@@ -39,7 +44,11 @@ def reduced_run(tmp_path_factory):
             cfg = default_config(name)
             cfg.entries.update(REDUCED[name])
             base = tmp_path_factory.mktemp(name)
-            done[name] = base, run(cfg, base / "a"), run(cfg, base / "b")
+            # hard flat bands fill the box, and the gauge switch warns so
+            expected = (pytest.warns(AliasingWarning, match="fills the box")
+                        if name == "bilinear-sweep" else nullcontext())
+            with expected:
+                done[name] = base, run(cfg, base / "a"), run(cfg, base / "b")
         return done[name]
 
     return get
@@ -67,6 +76,9 @@ def test_config_validation_errors():
         ExperimentConfig.from_text("grid.n = 64\n")  # no experiment line
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("experiment = sharp-constant\nbroken line\n")
+    with pytest.raises(ConfigError, match="line 3: repeated key 'powersums.kmax'"):
+        ExperimentConfig.from_text("experiment = power-sums\npowersums.kmax = 200\n"
+                                   "powersums.kmax = 5\nexperiment = sharp-constant\n")
 
 
 def test_run_rejects_bad_config_without_output(tmp_path):
@@ -121,6 +133,21 @@ def test_decay_report_experiment(reduced_run):
     h_lines = (base / "a" / "h_curve.csv").read_text().splitlines()
     assert h_lines[0] == "eps,H"
     assert len(h_lines) == 1 + 1 + 10  # header, eps = 0 row, 10-point grid
+    g_lines = (base / "a" / "g_scan.csv").read_text().splitlines()
+    assert g_lines[0] == "C,M,x0,x1"
+    assert len(g_lines) == 1 + 3  # header, one row per barrier constant
+
+
+def test_bilinear_sweep_skips_missing_bound(tmp_path):
+    # at s = pi/8 the N = 1 bands touch on the grid and have no
+    # Hausdorff-Young bound; the check runs over the other points
+    cfg = default_config("bilinear-sweep")
+    cfg.entries.update({"sweep.band_scale_xi": repr(np.pi / 8),
+                        "sweep.separation_list": "1,4,8"})
+    with pytest.warns(AliasingWarning, match="fills the box"):
+        report = run(cfg, tmp_path / "sweep")
+    assert report.results["hy_bound_N_1"] == "nan"
+    assert report.checks["hausdorff_young_upper_bound"]
 
 
 def test_failed_check_reported_not_raised(tmp_path):
@@ -128,7 +155,9 @@ def test_failed_check_reported_not_raised(tmp_path):
     cfg.entries["picard.max_steps"] = "1"
     cfg.entries["picard.tol_l2"] = "1e-15"
     cfg.entries["start.linear_perturbation"] = "0.5"
-    report = run(cfg, tmp_path / "it")
+    # one step leaves a state whose phase jumps too far for the log fit
+    with pytest.warns(PhaseUnwrapWarning, match="phase jumps"):
+        report = run(cfg, tmp_path / "it")
     assert not report.all_pass
     assert not report.checks["picard_converged"]
     assert (tmp_path / "it" / "report.txt").exists()
@@ -182,16 +211,26 @@ def test_cli_seed_override(tmp_path):
     ("sharp-constant", {"grid.n": "abc"}, [], "'abc'"),
     ("sharp-constant", {"grid.n": "1000"}, [], "1000"),
     ("bilinear-sweep", {"sweep.profile": "nope"}, [], "'nope'"),
+    ("decay-report", None, ["--seed", "5"], "seed"),
+    pytest.param("power-sums", "powersums.kmax = 5\n", [],
+                 "line 3: repeated key 'powersums.kmax'", id="repeated-key"),
+    pytest.param("power-sums", "experiment = power-sums\n", [],
+                 "line 3: repeated key 'experiment'", id="repeated-experiment"),
 ])
 def test_cli_refused_config_exits_2_without_output(tmp_path, capsys, experiment, entries,
                                                    args, named):
-    # a key the experiment does not read, or a value that does not parse or
-    # that the library rejects: one error line, exit 2, no directory made
+    # a key the experiment does not read, a repeated line, or a value that
+    # does not parse or that the library rejects: one error line, exit 2, no
+    # directory made.  Entries given as text are appended to the defaults.
     if entries is not None:
         cfg = default_config(experiment)
-        cfg.entries.update(entries)
+        if isinstance(entries, str):
+            text = cfg.to_text() + entries
+        else:
+            cfg.entries.update(entries)
+            text = cfg.to_text()
         path = tmp_path / "run.cfg"
-        path.write_text(cfg.to_text())
+        path.write_text(text)
         args = [*args, "--config", str(path)]
     assert main([experiment, "--out", str(tmp_path / "runs" / "never"), *args]) == 2
     err = capsys.readouterr().err
