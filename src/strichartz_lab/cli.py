@@ -2,9 +2,9 @@
 
 One subcommand per experiment; `--config` supplies a complete key-value
 config file (defaults are used only when no file is given), `--out` the
-output directory, `--seed` overrides the seed.  Exit codes: 0 all checks
-pass, 1 a check failed (report still written), 2 usage or config error
-(one `error:` line, no output directory).
+output directory, and `--seed` overrides the seed of an experiment that has
+one.  Exit codes: 0 all checks pass, 1 a check failed (report still
+written), 2 usage or config error (one `error:` line, no output directory).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key-value config file (must be complete)")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default runs/<experiment>)")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
+        if "seed" in EXPERIMENTS[name]["defaults"]:
+            p.add_argument("--seed", type=int, default=None, help="override the seed")
     return parser
 
 
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
                 )
         else:
             config = default_config(args.experiment)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config.entries["seed"] = str(args.seed)
         report = run(config, out_dir)
     except (ConfigError, OSError) as err:

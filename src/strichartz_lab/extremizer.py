@@ -124,22 +124,27 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     """Lambda f, and sum_k w_k int |u(., t_k)|^6 dx from the same rows.
 
     The Fresnel step of the factored rows is linear, so their spectra are
-    summed first and transformed back once.
+    summed first and transformed back once.  Each piece of rows returns its
+    row sums and back-propagated spectra; the weights are applied per block.
     """
     # the quintic power spreads the spectrum fivefold
     warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
-    direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
-    sixth = 0.0
-    for sl, factored, (rows,) in plan.blocks([f], switch_time(f)):
+
+    def piece(rows, back):
+        (rows,) = rows
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2
-        sixth += plan.measure(sl, factored, 6) @ (quartic * power).sum(axis=-1)
         spectra = scipy.fft.fft(quartic * rows, axis=-1, overwrite_x=True)
+        spectra *= back
+        return (quartic * power).sum(axis=-1), spectra
+
+    direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
+    sixth = 0.0
+    for sl, factored, (sums, spectra) in plan.reduce_blocks([f], switch_time(f), piece, back=True):
+        sixth += plan.measure(sl, factored, 6) @ sums
         if factored:
-            spectra *= plan.table("fresnel", sl)
             fresnel += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ spectra
         else:
-            spectra *= np.conj(plan.table("flow", sl))
             direct += plan.tq.weights[sl] @ spectra
     accum = plan.phase * np.fft.fftshift(direct) + scipy.fft.ifft(fresnel)
     return inverse_transform(WaveFunction(f.grid.dual(), KAPPA * accum)), float(sixth)

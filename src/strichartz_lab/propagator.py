@@ -25,12 +25,26 @@ the factored bound with a warning; and when the spectrum reaches the band
 edge, so that the factored gauge never resolves, it raises.
 
 Every evaluation of the flow goes through one block engine, FlowPlan.  It
-evolves its inputs over runs of nodes in one gauge, one batched FFT per
-block of at most BLOCK_ENTRIES complex entries (1 MiB), and every space-time
-functional here is a reduction over those blocks.  Its phase tables (the
-multiplier e^{it xi^2}, the chirp e^{-ix^2/4t} and the Fresnel multiplier
-of Lambda) are kept when one nodes x n table fits in TABLE_BYTES, and are
-computed per block otherwise.
+evolves its inputs over runs of nodes in one gauge, in blocks of at most
+BLOCK_ENTRIES complex entries (1 MiB), and every space-time functional here
+is a reduction over those blocks (FlowPlan.reduce_blocks).  Its phase tables
+(the multiplier e^{it xi^2}, the chirp e^{-ix^2/4t} and the Fresnel
+multiplier of Lambda) are kept when one nodes x n table fits in TABLE_BYTES,
+and are computed per block otherwise.
+
+The blocks run on one thread per CPU the process may run on: the calling
+thread and a pool of one worker fewer, made on first use (none on one CPU,
+where everything runs inline).  Each block is split into one contiguous
+piece of rows per thread.  A piece computes its own phase rows, evolves
+every input at those rows and at their mirror rows, and reduces them to
+per-row results such as row sums; the calling thread joins the pieces in
+node order and applies the quadrature weights once per block, as one thread
+would.  numpy's per-row sums and pocketfft's per-row transforms do not depend
+on how many rows share a call, so every value is the same bit for bit on any
+number of CPUs.  At most one block's rows are in flight, in buffers the
+calling thread allocates once per call; kept tables are filled on the calling
+thread before a block's pieces start, so workers only read them, and threads
+may share one plan.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
@@ -45,8 +59,11 @@ grid, xi^2 and eta^2 always) needs exponentials for columns 0..n/2 only.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 import scipy.fft
@@ -250,9 +267,46 @@ def switch_time(fields) -> float:
 # the block engine
 # ---------------------------------------------------------------------------
 
+#: (threads, executor) that FlowPlan splits its blocks across, made on first
+#: use: one thread per CPU this process may run on, the calling thread and
+#: threads - 1 pool workers; no executor on one CPU, where pieces run inline
+_POOL: tuple[int, ThreadPoolExecutor | None] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> tuple[int, ThreadPoolExecutor | None]:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            threads = len(os.sched_getaffinity(0))
+            _POOL = (threads, ThreadPoolExecutor(threads - 1, "flowplan") if threads > 1 else None)
+        return _POOL
+
+
+def _run(fn, pieces: list) -> list:
+    """[fn(p) for p in pieces]: the calling thread runs the first piece and
+    then each piece no pool worker has started, so a worker slow to wake
+    delays nothing.  An exception of a piece is raised here once no piece is
+    queued or running."""
+    executor = _pool()[1]
+    if executor is None or len(pieces) == 1:
+        return [fn(p) for p in pieces]
+    futures = [executor.submit(fn, p) for p in pieces[1:]]
+    try:
+        out = [fn(pieces[0])]
+        for fut, p in zip(futures, pieces[1:]):
+            out.append(fn(p) if fut.cancel() else fut.result())
+        return out
+    finally:
+        for fut in futures:
+            fut.cancel()
+        wait(futures)
+
+
 class FlowPlan:
     """The flow on one grid over one time rule, evaluated in row blocks; it
-    holds no input, so one plan serves every call on its grid and rule."""
+    holds no input, so one plan serves every call on its grid and rule, from
+    any number of threads."""
 
     def __init__(self, grid: UniformGrid, tq: TimeQuadrature):
         if not isinstance(grid, UniformGrid):
@@ -262,6 +316,7 @@ class FlowPlan:
         self.block_rows = max(1, BLOCK_ENTRIES // grid.n)
         self._keep = len(tq.nodes) * grid.n * 16 <= TABLE_BYTES
         self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._fill_lock = threading.Lock()
         #: nodes in exact +-t pairs: the rows of -t are conjugates of those of t
         self._symmetric = np.array_equal(tq.nodes, -tq.nodes[::-1])
         #: dx e^{-i x0 xi}: the origin phase of a centred-order transform
@@ -286,30 +341,29 @@ class FlowPlan:
             return slice(0, 0)
         return slice(m - sl.stop, min(m - sl.start, m // 2))
 
-    def table(self, kind: str, sl: slice) -> np.ndarray:
-        """Rows sl of a phase table, a kept one filled as blocks ask: "flow" e^{it xi^2}
-        and "fresnel" e^{i eta^2 / 4t} in FFT order, "chirp" (-1)^j e^{-i x_j^2 / 4t}.
-        A kept table fills each t >= 0 row and its mirror together."""
-        if not self._keep:
-            return self._phases(kind, sl)
+    def _fill(self, kind: str, sl: slice) -> None:
+        """Fill rows sl of the kept phase table kind, each t >= 0 row together
+        with its mirror; rows already filled are left as they are."""
         m = len(self.tq.nodes)
-        if kind not in self._tables:
-            self._tables[kind] = (np.empty((m, self.grid.n), dtype=complex), np.zeros(m, bool))
-        table, filled = self._tables[kind]
-        todo = np.arange(m)[sl][~filled[sl]]
-        if todo.size:
-            if self._symmetric:
-                todo = np.maximum(todo, m - 1 - todo)
-            src = slice(int(todo.min()), int(todo.max()) + 1)
-            mirror = self._mirror(src)
-            table[src] = self._phases(kind, src)
-            np.conj(table[src][::-1][:mirror.stop - mirror.start], out=table[mirror])
-            filled[src] = filled[mirror] = True
-        return table[sl]
+        with self._fill_lock:
+            if kind not in self._tables:
+                self._tables[kind] = (np.empty((m, self.grid.n), dtype=complex), np.zeros(m, bool))
+            table, filled = self._tables[kind]
+            todo = np.arange(m)[sl][~filled[sl]]
+            if todo.size:
+                if self._symmetric:
+                    todo = np.maximum(todo, m - 1 - todo)
+                src = slice(int(todo.min()), int(todo.max()) + 1)
+                mirror = self._mirror(src)
+                self._phases(kind, src, out=table[src])
+                np.conj(table[src][::-1][:mirror.stop - mirror.start], out=table[mirror])
+                filled[src] = filled[mirror] = True
 
-    def _phases(self, kind: str, sl: slice) -> np.ndarray:
-        """Rows sl of a phase table; an even kind takes exponentials on
-        columns 0..n/2 only and copies column n - j from column j."""
+    def _phases(self, kind: str, sl: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows sl of a phase table, into out when given: "flow" e^{it xi^2}
+        and "fresnel" e^{i eta^2 / 4t} in FFT order, "chirp" (-1)^j
+        e^{-i x_j^2 / 4t}.  An even kind takes exponentials on columns 0..n/2
+        only and copies column n - j from column j."""
         t = self.tq.nodes[sl, None]
         if kind == "flow":
             coef, arg = 1j * t, self._xi2
@@ -319,7 +373,7 @@ class FlowPlan:
             coef, arg = (-1j * s, self._x2) if kind == "chirp" else (1j * s, self._eta2)
         n = self.grid.n
         h = n // 2 + 1 if self._even[kind] else n
-        z = np.empty((len(t), n), dtype=complex)
+        z = np.empty((len(t), n), dtype=complex) if out is None else out
         half = z[:, :h]
         np.multiply(coef, arg[:h], out=half)
         np.exp(half, out=half)
@@ -328,31 +382,72 @@ class FlowPlan:
         z[:, h:] = z[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
         return z
 
-    def _walk(self, kind: str, a: int, b: int):
-        """(nodes, phases) over the run of nodes a..b-1 in blocks of at most
-        block_rows, each preceded by its mirror block when it has one.  Unkept
-        phases are conjugated in place for the mirror and back for the block,
-        which is exact, so a block pair costs one array of exponentials."""
-        for start in range(a, b, self.block_rows):
-            sl = slice(start, min(start + self.block_rows, b))
-            mirror = self._mirror(sl)
-            count = mirror.stop - mirror.start
-            phases = self.table(kind, sl)
-            if count and self._keep:
-                yield mirror, self.table(kind, mirror)
-            elif count:
-                yield mirror, np.conj(phases, out=phases)[::-1][:count]
-                np.conj(phases, out=phases)
-            yield sl, phases
+    def _split(self, sl: slice) -> list[slice]:
+        """sl in one contiguous piece per thread of the pool, each of at least
+        one row."""
+        rows = sl.stop - sl.start
+        k = min(_pool()[0], rows)
+        edges = [sl.start + i * rows // k for i in range(k + 1)]
+        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-    def blocks(self, fields, switch: float):
+    def _piece(self, factored: bool, inputs: dict, fields, fn, back: bool, task):
+        """fn's results on the rows of a piece's mirror (None when it has none)
+        and of the piece.  task is (rows sl, (row buffer, phase buffer)): the
+        rows of every input go through one transform in the row buffer; an
+        unkept plan computes its phase rows in the phase buffer, conjugates
+        them in place for the mirror and back for sl, which is exact, so the
+        two cost one array of exponentials."""
+        sl, (row_buf, phase_buf) = task
+        n = self.grid.n
+        kind, transform = ("chirp", scipy.fft.fft) if factored else ("flow", scipy.fft.ifft)
+
+        def apply(rsl, phases):
+            count = rsl.stop - rsl.start
+            buf = row_buf[:len(inputs) * count * n].reshape(len(inputs), count, n)
+            for b, v in zip(buf, inputs.values()):
+                np.multiply(phases, v, out=b)
+            buf = transform(buf, axis=-1, overwrite_x=True)
+            if factored:
+                buf *= self.phase
+            rows = dict(zip(inputs, buf))
+            rows = [rows[id(f)] for f in fields]
+            if not back:
+                return fn(rows)
+            if factored:
+                return fn(rows, self._tables["fresnel"][0][rsl] if self._keep
+                          else self._phases("fresnel", rsl))
+            return fn(rows, np.conj(phases))
+
+        mirror = self._mirror(sl)
+        count = mirror.stop - mirror.start
+        if self._keep:
+            table = self._tables[kind][0]
+            return (apply(mirror, table[mirror]) if count else None), apply(sl, table[sl])
+        phases = self._phases(kind, sl, phase_buf[:(sl.stop - sl.start) * n].reshape(-1, n))
+        mirrored = None
+        if count:
+            mirrored = apply(mirror, np.conj(phases, out=phases)[::-1][:count])
+            np.conj(phases, out=phases)
+        return mirrored, apply(sl, phases)
+
+    def reduce_blocks(self, fields, switch: float, fn, back: bool = False):
         """Evolve fields over runs of at most block_rows nodes in one gauge
-        (factored when |t| > switch).  Yields (nodes, factored, rows), rows[i]
-        the rows of fields[i] at those nodes: samples u(x_j, t_k) in the
-        direct gauge, ghat_{t_k} on the centred dual grid in the factored
-        gauge.  An input passed in several slots is evolved once.  A symmetric
-        rule is walked over its t >= 0 half, each block preceded by its
-        mirror block; any other rule is walked in ascending order."""
+        (factored when |t| > switch) and reduce each block's rows with fn.
+        Yields (nodes, factored, out), out[i] the i-th array fn returns, joined
+        along rows over the block's pieces.
+
+        fn(rows) gets rows[i], the rows of fields[i] at a run of nodes: samples
+        u(x_j, t_k) in the direct gauge, ghat_{t_k} on the centred dual grid in
+        the factored gauge; an input passed in several slots is evolved once.
+        With back, fn(rows, back) also gets the rows of the back-propagation
+        multiplier: e^{-it xi^2} on direct rows, the Fresnel e^{i eta^2 / 4t} on
+        factored ones.  fn returns arrays whose first axis runs over the rows.
+
+        A symmetric rule is walked over its t >= 0 half, each block preceded by
+        its mirror block; any other rule is walked in ascending order.  Each
+        block is split into one piece per thread (with its mirror rows), and
+        the next block starts only once all pieces of this one are joined.
+        """
         if any(f.grid != self.grid for f in fields):
             raise GridMismatchError("all inputs must share the plan's grid")
         distinct = {id(f): f.values for f in fields}
@@ -361,18 +456,33 @@ class FlowPlan:
         first = m // 2 if self._symmetric else 0
         factored = np.abs(self.tq.nodes) > switch
         runs = [first, *(np.flatnonzero(np.diff(factored[first:])) + 1 + first).tolist(), m]
+        # one row buffer and phase buffer per piece, reused by every block;
+        # made here, so that workers allocate no block-sized array of their own
+        n = self.grid.n
+        widest = self._split(slice(0, min(self.block_rows, m - first)))
+        work = [(np.empty(len(distinct) * (s.stop - s.start) * n, dtype=complex),
+                 None if self._keep else np.empty((s.stop - s.start) * n, dtype=complex))
+                for s in widest]
         for a, b in zip(runs[:-1], runs[1:]):
-            for sl, phases in self._walk("chirp" if factored[a] else "flow", a, b):
-                if factored[a]:
-                    rows = {key: scipy.fft.fft(phases * v, axis=-1, overwrite_x=True)
-                            for key, v in distinct.items()}
-                    for r in rows.values():
-                        r *= self.phase
-                else:
-                    rows = {key: scipy.fft.ifft(phases * spectra[key], axis=-1, overwrite_x=True)
-                            for key in distinct}
-                yield sl, bool(factored[a]), [rows[id(f)] for f in fields]
-                del rows  # free this block before the next is built
+            fac = bool(factored[a])
+            piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn, back)
+            for start in range(a, b, self.block_rows):
+                sl = slice(start, min(start + self.block_rows, b))
+                if self._keep:  # on this thread, so that workers only read tables
+                    self._fill("chirp" if fac else "flow", sl)
+                    if back and fac:
+                        self._fill("fresnel", sl)
+                parts = _run(piece, list(zip(self._split(sl), work)))
+                mirror = self._mirror(sl)
+                if mirror.stop > mirror.start:
+                    yield mirror, fac, _join([p for p, _ in reversed(parts) if p is not None])
+                yield sl, fac, _join([p for _, p in parts])
+                del parts  # free this block before the next is built
+
+    def blocks(self, fields, switch: float):
+        """(nodes, factored, rows) for every block of reduce_blocks, rows[i] the rows
+        of fields[i] at those nodes."""
+        return self.reduce_blocks(fields, switch, lambda rows: [r.copy() for r in rows])
 
     def measure(self, sl: slice, factored: bool, degree: float) -> np.ndarray:
         """w_k times the x-measure of the rows sl, for an integrand of the given
@@ -391,15 +501,25 @@ class FlowPlan:
         if switch is None:
             switch = switch_time(fields)
         degree = len(fields) * (1.0 if power is None else power)
-        total = 0.0 + 0.0j
-        for sl, factored, rows in self.blocks(fields, switch):
+
+        def row_sums(rows):
             prod = reduce(np.multiply, [np.conj(r) for r in rows[:conj_count]] + rows[conj_count:])
             if power is not None:
                 prod = np.abs(prod)
                 prod **= power
-            total += self.measure(sl, factored, degree) @ prod.sum(axis=-1)
-            del rows, prod
+            return (prod.sum(axis=-1),)
+
+        total = 0.0 + 0.0j
+        for sl, factored, (sums,) in self.reduce_blocks(fields, switch, row_sums):
+            total += self.measure(sl, factored, degree) @ sums
         return complex(total)
+
+
+def _join(parts: list) -> list:
+    """The arrays of several pieces' results, each joined along rows in order."""
+    if len(parts) == 1:
+        return list(parts[0])
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
 def _flow_lp_sum(f: WaveFunction, plan: FlowPlan, p: float) -> float:

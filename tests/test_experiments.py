@@ -204,14 +204,29 @@ def test_cli_seed_override(tmp_path):
     assert "seed = 99" in report
 
 
+@pytest.mark.parametrize("experiment, seeded", [
+    ("bilinear-sweep", True), ("functional-residual", True),
+    ("power-sums", False), ("decay-report", False),
+])
+def test_cli_offers_seed_only_where_the_experiment_has_one(capsys, experiment, seeded):
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--help"])
+    assert exc.value.code == 0
+    assert ("--seed" in capsys.readouterr().out) == seeded
+    if not seeded:  # an option the subcommand lacks is an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--seed", "5"])
+        assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("experiment, entries, args, named", [
     ("sharp-constant", {"check.ratio_abs_tol": "1e-3"}, [], "check.ratio_abs_tol"),
     ("sharp-constant", {"grid.spacing": "0.1"}, [], "grid.spacing"),
-    ("power-sums", None, ["--seed", "5"], "seed"),
+    ("power-sums", {"seed": "5"}, [], "seed"),
     ("sharp-constant", {"grid.n": "abc"}, [], "'abc'"),
     ("sharp-constant", {"grid.n": "1000"}, [], "1000"),
     ("bilinear-sweep", {"sweep.profile": "nope"}, [], "'nope'"),
-    ("decay-report", None, ["--seed", "5"], "seed"),
+    ("decay-report", {"seed": "5"}, [], "seed"),
     pytest.param("power-sums", "powersums.kmax = 5\n", [],
                  "line 3: repeated key 'powersums.kmax'", id="repeated-key"),
     pytest.param("power-sums", "experiment = power-sums\n", [],

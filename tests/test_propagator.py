@@ -1,5 +1,10 @@
 import math
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from strichartz_lab.lattice import (
     lp_norm,
     make_gaussian,
 )
+from strichartz_lab import propagator
 from strichartz_lab.propagator import (
     FlowPlan,
     TimeQuadrature,
@@ -290,12 +296,14 @@ def test_other_rules_take_the_ascending_walk(wide_grid, tq):
 
 
 def _count_phase_rows(plan):
-    asked = Counter()
+    # pieces on pool threads ask for rows too, so the count takes a lock
+    asked, lock = Counter(), threading.Lock()
     phases = plan._phases
 
-    def counting(kind, sl):
-        asked[kind] += len(range(len(plan.tq.nodes))[sl])
-        return phases(kind, sl)
+    def counting(kind, sl, out=None):
+        with lock:
+            asked[kind] += len(range(len(plan.tq.nodes))[sl])
+        return phases(kind, sl, out)
 
     plan._phases = counting
     return asked
@@ -400,3 +408,114 @@ def test_only_propagator_builds_legendre_rules():
             if builders.intersection(names):
                 users.add(path.name)
     assert users == {"propagator.py"}
+
+
+# ---------------------------------------------------------------------------
+# the thread pool
+# ---------------------------------------------------------------------------
+
+def _pool_values(grid):
+    """Every reduction of the engine, as bytes: bilinear_l3 on an unkept plan
+    (n = 4096, 513 nodes), and the ratio, Q and Lambda on the kept default plan."""
+    from strichartz_lab.bilinear import make_band_limited, pair_time_quadrature, sweep_grid
+
+    wide = sweep_grid(16, 1.0)
+    h1 = make_band_limited(wide, 0.0, 1.0, "random", seed=1)
+    h2 = make_band_limited(wide, 16.0, 32.0, "random", seed=2)
+    f = WaveFunction(grid, (1 + 0.3 * grid.x) * np.exp(-grid.x ** 2 + 0.5j * grid.x))
+    g = make_gaussian(grid, a=1.0, b=0.5j)
+    with pytest.warns(AliasingWarning):  # the random pair fills its box
+        pair = bilinear_l3(h1, h2, pair_time_quadrature(16, 1.0))
+    q = q_spacetime(f, g, f, g, g, f)
+    return (pair.hex(), strichartz_ratio(f).hex(), q.real.hex(), q.imag.hex(),
+            lambda_apply(f).values.tobytes())
+
+
+def test_pooled_engine_equals_one_thread_bit_for_bit(monkeypatch, grid):
+    monkeypatch.setattr(propagator, "_POOL", (1, None))
+    inline = _pool_values(grid)
+    # two threads, and three, whose pieces of a 16-row block are uneven
+    for threads in (2, 3):
+        with ThreadPoolExecutor(threads - 1) as executor:
+            monkeypatch.setattr(propagator, "_POOL", (threads, executor))
+            assert _pool_values(grid) == inline, threads
+
+
+def test_threads_sharing_one_kept_plan_match_sequential_calls(grid):
+    # more threads than CPUs, switching as often as the interpreter allows, all
+    # filling the tables of one fresh plan at once, in several rounds
+    tq = TimeQuadrature.compactified(65)
+    inputs = [make_gaussian(grid, a=1.0 + 0.1 * k, b=0.5j * k) for k in range(4)]
+
+    def values(plan, f):
+        lam, sixth = _lambda_with_l6(f, plan)
+        return lam.values.tobytes(), sixth, plan.integral([f, f], power=3.0)
+
+    fresh = FlowPlan(grid, tq)
+    expected = [values(fresh, f) for f in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            shared = FlowPlan(grid, tq)
+            assert shared._keep
+            start, got = threading.Barrier(len(inputs)), {}
+
+            def worker(k):
+                start.wait()
+                got[k] = values(shared, inputs[k])
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [got.get(k) for k in range(len(inputs))] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_import_starts_no_thread():
+    code = ("import threading; before = threading.active_count(); "
+            "import strichartz_lab, strichartz_lab.propagator as p; "
+            "print(threading.active_count() - before, p._POOL)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split()
+    assert out == ["0", "None"]
+
+
+def test_piece_exception_reaches_caller_with_no_piece_left_running(monkeypatch):
+    events = []
+
+    def piece(k):
+        events.append(("start", k))
+        time.sleep(0.02)
+        events.append(("end", k))
+        if k == 1:
+            raise RuntimeError("piece 1")
+        return k
+
+    # one worker for three pieces: the caller runs piece 0 and the worker
+    # piece 1; piece 2 is queued, and when piece 1 raises it either never
+    # starts or has ended before the exception reaches the caller
+    with ThreadPoolExecutor(1) as executor:
+        monkeypatch.setattr(propagator, "_POOL", (3, executor))
+        assert propagator._run(piece, [0, 3, 2]) == [0, 3, 2]
+        events.clear()
+        with pytest.raises(RuntimeError, match="piece 1"):
+            propagator._run(piece, [0, 1, 2])
+        seen = list(events)
+        time.sleep(0.1)
+        assert events == seen  # nothing started after the raise
+        started = {k for what, k in seen if what == "start"}
+        assert started == {k for what, k in seen if what == "end"}
+        assert {0, 1} <= started
+        # and through a plan: the exception of a reduction reaches the caller
+        plan = FlowPlan(UniformGrid.symmetric(n=64, half_width=4.0), TimeQuadrature.compactified(9))
+
+        def failing(rows):
+            raise ValueError("reduction")
+
+        with pytest.raises(ValueError, match="reduction"):
+            list(plan.reduce_blocks([make_gaussian(plan.grid)], np.inf, failing))
