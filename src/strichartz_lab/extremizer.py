@@ -129,18 +129,26 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     """
     # the quintic power spreads the spectrum fivefold
     warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
+    switch = switch_time(f)
+    late = np.abs(plan.tq.nodes) > switch
+    # a kept Fresnel table is filled here, on the calling thread, for every run
+    # of factored (late) nodes, so that the pieces only read it
+    for a, b in np.flatnonzero(np.diff(np.r_[False, late, False])).reshape(-1, 2):
+        plan.fill("fresnel", slice(int(a), int(b)))
 
-    def piece(rows, back):
+    def piece(rows, nodes, phases):
         (rows,) = rows
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2
         spectra = scipy.fft.fft(quartic * rows, axis=-1, overwrite_x=True)
-        spectra *= back
+        # back to t = 0: the Fresnel multiplier on factored rows, the inverse
+        # flow on direct ones
+        spectra *= plan.table("fresnel", nodes) if late[nodes.start] else np.conj(phases)
         return (quartic * power).sum(axis=-1), spectra
 
     direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
     sixth = 0.0
-    for sl, factored, (sums, spectra) in plan.reduce_blocks([f], switch_time(f), piece, back=True):
+    for sl, factored, (sums, spectra) in plan.reduce_blocks([f], switch, piece):
         sixth += plan.measure(sl, factored, 6) @ sums
         if factored:
             fresnel += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ spectra

@@ -32,9 +32,10 @@ is a reduction over those blocks (FlowPlan.reduce_blocks).  Its phase tables
 multiplier of Lambda) are kept when one nodes x n table fits in TABLE_BYTES,
 and are computed per block otherwise.
 
-The blocks run on one thread per CPU the process may run on: the calling
-thread and a pool of one worker fewer, made on first use (none on one CPU,
-where everything runs inline).  Each block is split into one contiguous
+The blocks run on one thread per CPU the process may run on (os.cpu_count()
+where the platform has no affinity call): the calling thread and a pool of
+one worker fewer, made on first use (none on one CPU, where everything runs
+inline).  Each block is split into one contiguous
 piece of rows per thread.  A piece computes its own phase rows, evolves
 every input at those rows and at their mirror rows, and reduces them to
 per-row results such as row sums; the calling thread joins the pieces in
@@ -278,7 +279,8 @@ def _pool() -> tuple[int, ThreadPoolExecutor | None]:
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            threads = len(os.sched_getaffinity(0))
+            affinity = getattr(os, "sched_getaffinity", None)  # Linux and a few others
+            threads = len(affinity(0)) if affinity else os.cpu_count() or 1
             _POOL = (threads, ThreadPoolExecutor(threads - 1, "flowplan") if threads > 1 else None)
         return _POOL
 
@@ -341,9 +343,13 @@ class FlowPlan:
             return slice(0, 0)
         return slice(m - sl.stop, min(m - sl.start, m // 2))
 
-    def _fill(self, kind: str, sl: slice) -> None:
+    def fill(self, kind: str, sl: slice) -> None:
         """Fill rows sl of the kept phase table kind, each t >= 0 row together
-        with its mirror; rows already filled are left as they are."""
+        with its mirror; rows already filled are left as they are, and a plan
+        that keeps no tables does nothing.  A reduction whose fn reads a kept
+        table fills the rows it reads first, on the calling thread."""
+        if not self._keep:
+            return
         m = len(self.tq.nodes)
         with self._fill_lock:
             if kind not in self._tables:
@@ -358,6 +364,15 @@ class FlowPlan:
                 self._phases(kind, src, out=table[src])
                 np.conj(table[src][::-1][:mirror.stop - mirror.start], out=table[mirror])
                 filled[src] = filled[mirror] = True
+
+    def table(self, kind: str, sl: slice) -> np.ndarray:
+        """Rows sl of a phase table (see _phases): a view of the kept table,
+        filled first where it lacks them, or rows computed afresh on a plan
+        that keeps no tables."""
+        if not self._keep:
+            return self._phases(kind, sl)
+        self.fill(kind, sl)
+        return self._tables[kind][0][sl]
 
     def _phases(self, kind: str, sl: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Rows sl of a phase table, into out when given: "flow" e^{it xi^2}
@@ -390,7 +405,7 @@ class FlowPlan:
         edges = [sl.start + i * rows // k for i in range(k + 1)]
         return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-    def _piece(self, factored: bool, inputs: dict, fields, fn, back: bool, task):
+    def _piece(self, factored: bool, inputs: dict, fields, fn, task):
         """fn's results on the rows of a piece's mirror (None when it has none)
         and of the piece.  task is (rows sl, (row buffer, phase buffer)): the
         rows of every input go through one transform in the row buffer; an
@@ -410,13 +425,7 @@ class FlowPlan:
             if factored:
                 buf *= self.phase
             rows = dict(zip(inputs, buf))
-            rows = [rows[id(f)] for f in fields]
-            if not back:
-                return fn(rows)
-            if factored:
-                return fn(rows, self._tables["fresnel"][0][rsl] if self._keep
-                          else self._phases("fresnel", rsl))
-            return fn(rows, np.conj(phases))
+            return fn([rows[id(f)] for f in fields], rsl, phases)
 
         mirror = self._mirror(sl)
         count = mirror.stop - mirror.start
@@ -430,18 +439,20 @@ class FlowPlan:
             np.conj(phases, out=phases)
         return mirrored, apply(sl, phases)
 
-    def reduce_blocks(self, fields, switch: float, fn, back: bool = False):
+    def reduce_blocks(self, fields, switch: float, fn):
         """Evolve fields over runs of at most block_rows nodes in one gauge
         (factored when |t| > switch) and reduce each block's rows with fn.
         Yields (nodes, factored, out), out[i] the i-th array fn returns, joined
         along rows over the block's pieces.
 
-        fn(rows) gets rows[i], the rows of fields[i] at a run of nodes: samples
-        u(x_j, t_k) in the direct gauge, ghat_{t_k} on the centred dual grid in
-        the factored gauge; an input passed in several slots is evolved once.
-        With back, fn(rows, back) also gets the rows of the back-propagation
-        multiplier: e^{-it xi^2} on direct rows, the Fresnel e^{i eta^2 / 4t} on
-        factored ones.  fn returns arrays whose first axis runs over the rows.
+        fn(rows, nodes, phases) gets rows[i], the rows of fields[i] at a run of
+        nodes: samples u(x_j, t_k) in the direct gauge, ghat_{t_k} on the
+        centred dual grid in the factored gauge; an input passed in several
+        slots is evolved once.  phases are the rows that made them: the flow
+        multiplier e^{it xi^2}, or the chirp of the factored gauge.  fn returns
+        arrays whose first axis runs over the rows.  It may run on any thread
+        of the pool, so it reads a kept table only after the calling thread
+        has filled the rows it reads (fill).
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each
@@ -456,22 +467,23 @@ class FlowPlan:
         first = m // 2 if self._symmetric else 0
         factored = np.abs(self.tq.nodes) > switch
         runs = [first, *(np.flatnonzero(np.diff(factored[first:])) + 1 + first).tolist(), m]
-        # one row buffer and phase buffer per piece, reused by every block;
-        # made here, so that workers allocate no block-sized array of their own
-        n = self.grid.n
-        widest = self._split(slice(0, min(self.block_rows, m - first)))
-        work = [(np.empty(len(distinct) * (s.stop - s.start) * n, dtype=complex),
-                 None if self._keep else np.empty((s.stop - s.start) * n, dtype=complex))
-                for s in widest]
+        # one row buffer and phase buffer per piece, reused by every block and
+        # sized for the largest piece of any block (a shorter block can have a
+        # larger piece than the widest one); made here, on the calling thread,
+        # so that the engine allocates none on the workers (what fn allocates
+        # there is its own)
+        n, width = self.grid.n, min(self.block_rows, m - first)
+        pieces = min(_pool()[0], width)
+        most = -(-width // pieces)
+        work = [(np.empty(len(distinct) * most * n, dtype=complex),
+                 None if self._keep else np.empty(most * n, dtype=complex))
+                for _ in range(pieces)]
         for a, b in zip(runs[:-1], runs[1:]):
             fac = bool(factored[a])
-            piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn, back)
+            piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn)
             for start in range(a, b, self.block_rows):
                 sl = slice(start, min(start + self.block_rows, b))
-                if self._keep:  # on this thread, so that workers only read tables
-                    self._fill("chirp" if fac else "flow", sl)
-                    if back and fac:
-                        self._fill("fresnel", sl)
+                self.fill("chirp" if fac else "flow", sl)  # so that workers only read tables
                 parts = _run(piece, list(zip(self._split(sl), work)))
                 mirror = self._mirror(sl)
                 if mirror.stop > mirror.start:
@@ -482,7 +494,7 @@ class FlowPlan:
     def blocks(self, fields, switch: float):
         """(nodes, factored, rows) for every block of reduce_blocks, rows[i] the rows
         of fields[i] at those nodes."""
-        return self.reduce_blocks(fields, switch, lambda rows: [r.copy() for r in rows])
+        return self.reduce_blocks(fields, switch, lambda rows, *_: [r.copy() for r in rows])
 
     def measure(self, sl: slice, factored: bool, degree: float) -> np.ndarray:
         """w_k times the x-measure of the rows sl, for an integrand of the given
@@ -502,7 +514,7 @@ class FlowPlan:
             switch = switch_time(fields)
         degree = len(fields) * (1.0 if power is None else power)
 
-        def row_sums(rows):
+        def row_sums(rows, *_):
             prod = reduce(np.multiply, [np.conj(r) for r in rows[:conj_count]] + rows[conj_count:])
             if power is not None:
                 prod = np.abs(prod)

@@ -416,7 +416,8 @@ def test_only_propagator_builds_legendre_rules():
 
 def _pool_values(grid):
     """Every reduction of the engine, as bytes: bilinear_l3 on an unkept plan
-    (n = 4096, 513 nodes), and the ratio, Q and Lambda on the kept default plan."""
+    (n = 4096, 513 nodes), the ratio, Q and Lambda on the kept default plan,
+    and an L^3 integral of a pair on a kept 65-node plan."""
     from strichartz_lab.bilinear import make_band_limited, pair_time_quadrature, sweep_grid
 
     wide = sweep_grid(16, 1.0)
@@ -427,15 +428,21 @@ def _pool_values(grid):
     with pytest.warns(AliasingWarning):  # the random pair fills its box
         pair = bilinear_l3(h1, h2, pair_time_quadrature(16, 1.0))
     q = q_spacetime(f, g, f, g, g, f)
+    # switching at 0 leaves the t = 0 node and then a 32-row block, which six
+    # threads split into pieces (5, 5, 6, ..) against (5, 6, 5, ..) for the
+    # widest, 33-row block
+    late = FlowPlan(grid, TimeQuadrature.compactified(65)).integral([f, g], 0.0, power=3.0)
     return (pair.hex(), strichartz_ratio(f).hex(), q.real.hex(), q.imag.hex(),
-            lambda_apply(f).values.tobytes())
+            lambda_apply(f).values.tobytes(), late.real.hex())
 
 
 def test_pooled_engine_equals_one_thread_bit_for_bit(monkeypatch, grid):
     monkeypatch.setattr(propagator, "_POOL", (1, None))
     inline = _pool_values(grid)
-    # two threads, and three, whose pieces of a 16-row block are uneven
-    for threads in (2, 3):
+    # two threads, and three, whose pieces of a 16-row block are uneven, and
+    # six, where a piece of a shorter block can be longer than the same piece
+    # of the widest block
+    for threads in (2, 3, 6):
         with ThreadPoolExecutor(threads - 1) as executor:
             monkeypatch.setattr(propagator, "_POOL", (threads, executor))
             assert _pool_values(grid) == inline, threads
@@ -514,7 +521,7 @@ def test_piece_exception_reaches_caller_with_no_piece_left_running(monkeypatch):
         # and through a plan: the exception of a reduction reaches the caller
         plan = FlowPlan(UniformGrid.symmetric(n=64, half_width=4.0), TimeQuadrature.compactified(9))
 
-        def failing(rows):
+        def failing(*_):
             raise ValueError("reduction")
 
         with pytest.raises(ValueError, match="reduction"):
