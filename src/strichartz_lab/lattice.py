@@ -294,24 +294,40 @@ def _spline_table(f: WaveFunction) -> np.ndarray:
     return table
 
 
-def _cells(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cells(grid: Grid, pts: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Table column and offset u in [0, 1) of each point; points outside
-    [a_0, a_{n-1}) get column -1 or n - 1, the zero column."""
+    [a_0, a_{n-1}) get column -1 or n - 1, the zero column.  out, a pair of
+    an intp and a float array shaped like pts, receives (column, u); its
+    float array may be pts itself."""
     start, step = (grid.x0, grid.dx) if isinstance(grid, UniformGrid) else (grid.xi[0], grid.dxi)
-    u = (pts - start) / step
-    col = np.floor(u)
+    shape = np.shape(pts)
+    col, u = out if out is not None else (np.empty(shape, np.intp), np.empty(shape))
+    np.subtract(pts, start, out=u)
+    u /= step
+    # points two cells or more outside read the zero column like nearer ones;
+    # the clip keeps the cast below exact however far they lie
+    np.clip(u, -2.0, grid.n, out=u)
+    np.floor(u, out=col, casting="unsafe")
     u -= col
-    return np.clip(col, -1, grid.n - 1, out=col).astype(np.intp), u
+    np.clip(col, -1, grid.n - 1, out=col)
+    return col, u
 
 
-def _interpolate(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The spline of a _spline_table at looked-up points (Horner in u)."""
+def _interpolate(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray],
+                 out=None) -> np.ndarray:
+    """The spline of a _spline_table at looked-up points (Horner in u).  out,
+    a pair of complex arrays shaped like the points, receives the values in
+    its first array and each table row's values on the way in its second."""
     col, u = cells
-    out = table[5].take(col)
+    vals, row_vals = out if out is not None else (np.empty(col.shape, complex),
+                                                  np.empty(col.shape, complex))
+    # wrap reads column -1 as column n - 1, as indexing does; the default
+    # mode, raise, would copy out first
+    np.take(table[5], col, out=vals, mode="wrap")
     for row in table[4::-1]:
-        out *= u
-        out += row.take(col)
-    return out
+        vals *= u
+        vals += np.take(row, col, out=row_vals, mode="wrap")
+    return vals
 
 
 def sample_offgrid(f: WaveFunction, points: np.ndarray) -> np.ndarray:

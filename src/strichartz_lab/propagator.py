@@ -305,6 +305,15 @@ def _run(fn, pieces: list) -> list:
         wait(futures)
 
 
+def _split(sl: slice, pieces: int) -> list[slice]:
+    """sl in at most pieces contiguous pieces, each of at least one row; no
+    piece is longer than ceil(rows / pieces)."""
+    rows = sl.stop - sl.start
+    k = min(pieces, rows)
+    edges = [sl.start + i * rows // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 class FlowPlan:
     """The flow on one grid over one time rule, evaluated in row blocks; it
     holds no input, so one plan serves every call on its grid and rule, from
@@ -397,14 +406,6 @@ class FlowPlan:
         z[:, h:] = z[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
         return z
 
-    def _split(self, sl: slice) -> list[slice]:
-        """sl in one contiguous piece per thread of the pool, each of at least
-        one row."""
-        rows = sl.stop - sl.start
-        k = min(_pool()[0], rows)
-        edges = [sl.start + i * rows // k for i in range(k + 1)]
-        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
     def _piece(self, factored: bool, inputs: dict, fields, fn, task):
         """fn's results on the rows of a piece's mirror (None when it has none)
         and of the piece.  task is (rows sl, (row buffer, phase buffer)): the
@@ -484,7 +485,7 @@ class FlowPlan:
             for start in range(a, b, self.block_rows):
                 sl = slice(start, min(start + self.block_rows, b))
                 self.fill("chirp" if fac else "flow", sl)  # so that workers only read tables
-                parts = _run(piece, list(zip(self._split(sl), work)))
+                parts = _run(piece, list(zip(_split(sl, pieces), work)))
                 mirror = self._mirror(sl)
                 if mirror.stop > mirror.start:
                     yield mirror, fac, _join([p for p, _ in reversed(parts) if p is not None])

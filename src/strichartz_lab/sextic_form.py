@@ -39,6 +39,18 @@ independent evaluation routes cross-validate each other:
   triple with sorted node indices, against the outer factors summed over the
   orbit.  On the Gaussian diagonal this cuts the circle evaluations from
   n^3 to n(n+1)(n+2)/6 for n outer nodes per axis.
+
+  The circle integrals run on the flow engine's threads.  The calling thread
+  builds the tables and the outer rules, then queues the representatives in
+  rounds of at most BLOCK_ENTRIES circle points (whole triples), and splits
+  each round into one contiguous piece per thread.  A piece evaluates its
+  circle points in slab arrays that the calling thread allocates once per
+  call, one set per piece, and that every round reuses; it writes one
+  contribution per triple.  The calling thread sums the contributions of each
+  pass (the triples of one node of the first outer slot) as one contiguous
+  array, and adds those sums in pass order.  All other arithmetic is
+  elementwise, so q_quadrature and m_weighted are the same bit for bit on any
+  number of CPUs.
 """
 
 from __future__ import annotations
@@ -58,7 +70,16 @@ from .lattice import (
     _spline_table,
     warn_if_aliased,
 )
-from .propagator import FlowPlan, TimeQuadrature, _legendre, default_time_quadrature
+from .propagator import (
+    BLOCK_ENTRIES,
+    FlowPlan,
+    TimeQuadrature,
+    _legendre,
+    _pool,
+    _run,
+    _split,
+    default_time_quadrature,
+)
 
 __all__ = [
     "KAPPA",
@@ -101,8 +122,19 @@ def weight(xi, w: WeightParams):
     when eps = 0.
     """
     xi = np.asarray(xi, dtype=float)
-    out = w.mu * xi ** 2 / (1.0 + w.eps * xi ** 2)
+    out = _weight(xi, w, np.empty_like(xi), np.empty_like(xi))
     return float(out) if out.ndim == 0 else out
+
+
+def _weight(xi: np.ndarray, w: WeightParams, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """weight(xi, w) into out; tmp, shaped like xi, holds the denominator."""
+    np.multiply(xi, xi, out=out)
+    out *= w.mu
+    np.multiply(xi, xi, out=tmp)
+    tmp *= w.eps
+    tmp += 1.0
+    out /= tmp
+    return out
 
 
 def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
@@ -199,8 +231,18 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     exponent splits into an outer part per permutation and an inner part per
     circle point; the largest outer part is moved to the inner side, so both
     exponentials stay <= 1 (the full exponent is <= 0 on the constraint set)
-    and no overflow meets an underflow.  Summation is plain numpy reduction
-    in a fixed order, so results are reproducible bit for bit.
+    and no overflow meets an underflow.
+
+    Tables, outer rules and outer factors are built on the calling thread.
+    The representatives are queued pass by pass (one pass per node of slot
+    0) in rounds of at most BLOCK_ENTRIES // n_phi triples, and a pass may
+    straddle rounds.  propagator._run runs each round as one contiguous piece
+    per pool thread.  A piece evaluates its circle points in its own slab,
+    allocated once per call and reused by every round through out=, and
+    writes one contribution per triple to the per-call array sums.  Once a
+    pass is complete, its contiguous run in sums is summed and added to the
+    total in pass order.  So the value does not depend on where rounds and
+    pieces end, and is the same bit for bit on any number of CPUs.
     """
     distinct = {id(f): f for f in fs}
     tables = {key: _hat_spline(f) for key, f in distinct.items()}
@@ -211,10 +253,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
     t1, t2, t3, t4, t5, t6 = (tables[id(f)][0] for f in fs)
     absolute = w is not None
-
-    def values(table, cells):
-        vals = _interpolate(table, cells)
-        return np.abs(vals) if absolute else vals
+    one_root_input = fs[4] is fs[5]
 
     pz, pw = _legendre(n_phi)
     wphi = 0.5 * np.pi * pw
@@ -231,52 +270,128 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     idx2, idx3 = (ix.ravel() for ix in np.meshgrid(np.arange(nodes[1].size),
                                                      np.arange(nodes[2].size), indexing="ij"))
 
-    total = 0.0 + 0.0j
-    for i in range(nodes[0].size):
-        idx = (np.full_like(idx2, i), idx2, idx3)
-        keep = np.ones(idx2.size, dtype=bool)
-        for a, b in shared:
-            keep &= idx[a] <= idx[b]
-        idx = tuple(ix[keep] for ix in idx)
+    def passes():
+        """The representatives (i, j, k) of each node i of slot 0, as the
+        columns of a (3, count) index array."""
+        for i in range(nodes[0].size):
+            idx = np.stack((np.full_like(idx2, i), idx2, idx3))
+            keep = np.ones(idx2.size, dtype=bool)
+            for a, b in shared:
+                keep &= idx[a] <= idx[b]
+            yield idx[:, keep]
+
+    # triples per round, and the per-call buffers: the triples of a round,
+    # the contributions of the unsummed passes (one may straddle rounds), and
+    # one slab per piece, sized for the largest piece of any round
+    rows = max(1, min(BLOCK_ENTRIES // n_phi, nodes[0].size * idx2.size))
+    pieces = min(_pool()[0], rows)
+    points = -(-rows // pieces) * n_phi
+    value = float if absolute else complex
+    slab = {"xi4": float, "p": float, "q": float, "gap": float,
+            "c4": np.intp, "cp": np.intp, "cq": np.intp,
+            "v4": value, "a": value, "b": value, "scratch": complex}
+    if not one_root_input:
+        slab["c"] = value
+    if absolute:
+        slab.update(factor=float, wx=float, z=complex)
+    slabs = [{name: np.empty(points, dtype) for name, dtype in slab.items()}
+             for _ in range(pieces)]
+    batch = np.empty((3, rows), dtype=np.intp)
+    sums = np.empty(rows + idx2.size, dtype=value)
+
+    def piece(task):
+        """The contributions of the triples batch[:, sl], to sums[at + sl]."""
+        sl, bufs, at = task
+        count = sl.stop - sl.start
+
+        def buf(name):
+            return bufs[name][:count * n_phi].reshape(count, n_phi)
+
+        def values(table, cells, name):
+            if absolute:
+                vals = _interpolate(table, cells, out=(buf("z"), buf("scratch")))
+                return np.abs(vals, out=buf(name))
+            return _interpolate(table, cells, out=(buf(name), buf("scratch")))
+
+        idx = batch[:, sl]
         x1, x2, x3 = (x[ix] for x, ix in zip(nodes, idx))
         sigma = x1 + x2 + x3
         tau = x1 ** 2 + x2 ** 2 + x3 ** 2
         h = np.sqrt(np.maximum(2.0 * tau - 2.0 * sigma ** 2 / 3.0, 0.0) / 3.0)
-        xi4 = sigma[:, None] / 3.0 + h[:, None] * sin_phi
-        half_gap = 0.5 * np.sqrt(3.0) * h[:, None] * cos_phi
-        mid = 0.5 * (sigma[:, None] - xi4)
-        p, q = mid + half_gap, mid - half_gap
-        del mid, half_gap
-        # form the orbit weights before the slab, and keep integrand alive
-        # into the next pass: with the slab freed first, the allocator gave
-        # the heap top back every pass, doubling the page faults of the
-        # unshared path (about 25% of its time)
+        xi4 = np.multiply(h[:, None], sin_phi, out=buf("xi4"))
+        xi4 += sigma[:, None] / 3.0
+        half_gap = np.multiply((0.5 * np.sqrt(3.0) * h)[:, None], cos_phi, out=buf("gap"))
+        q = np.subtract(sigma[:, None], xi4, out=buf("q"))
+        q *= 0.5
+        p = np.add(q, half_gap, out=buf("p"))
+        q -= half_gap
         orbit = [tuple(idx[pi[s]] for s in range(3)) for pi in perms]
         weights = [outer[0][a] * outer[1][b] * outer[2][c] for a, b, c in orbit]
         if absolute:
             exponents = [signed_f[0][a] + signed_f[1][b] + signed_f[2][c] for a, b, c in orbit]
             shift = np.maximum.reduce(exponents)
             weights = [wt * np.exp(e - shift) for wt, e in zip(weights, exponents)]
-            factor = np.exp(shift[:, None] - weight(xi4, w) - weight(p, w) - weight(q, w))
+            factor = np.subtract(shift[:, None], _weight(xi4, w, buf("wx"), half_gap),
+                                 out=buf("factor"))
+            factor -= _weight(p, w, buf("wx"), half_gap)
+            factor -= _weight(q, w, buf("wx"), half_gap)
+            np.exp(factor, out=factor)
         stabilizer = sum((a == idx[0]) & (b == idx[1]) & (c == idx[2]) for a, b, c in orbit)
-        integrand = values(t4, _cells(grid, xi4))
-        at_p, at_q = _cells(grid, p), _cells(grid, q)
-        del xi4, p, q
-        pairing = values(t5, at_p) * values(t6, at_q)
-        if fs[4] is fs[5]:
+        # each lookup overwrites its points with their offsets
+        at_4 = _cells(grid, xi4, out=(buf("c4"), xi4))
+        at_p = _cells(grid, p, out=(buf("cp"), p))
+        at_q = _cells(grid, q, out=(buf("cq"), q))
+        integrand = values(t4, at_4, "v4")
+        pairing = values(t5, at_p, "a")
+        pairing *= values(t6, at_q, "b")
+        if one_root_input:
             pairing += pairing
         else:
-            pairing += values(t5, at_q) * values(t6, at_p)
-        del at_p, at_q
+            crossed = values(t5, at_q, "b")
+            crossed *= values(t6, at_p, "c")
+            pairing += crossed
         integrand *= pairing
-        del pairing
         if absolute:
             integrand *= factor
-            del factor
         integrand *= wphi
-        total += (sum(weights) / stabilizer
-                  * (integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)))).sum()
+        np.multiply(sum(weights) / stabilizer,
+                    integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)),
+                    out=sums[at + sl.start:at + sl.stop])
+
+    total = 0.0 + 0.0j
+    held = 0  # contributions in sums, from the start of the oldest unsummed pass
+    for count, ended in _rounds(passes(), batch):
+        _run(piece, list(zip(_split(slice(0, count), pieces), slabs, [held] * pieces)))
+        held += count
+        start = 0
+        for length in ended:
+            total += sums[start:start + length].sum()
+            start += length
+        if start:  # the pass left unfinished moves to the front
+            sums[:held - start] = sums[start:held]
+            held -= start
     return complex(total)
+
+
+def _rounds(passes, batch: np.ndarray):
+    """Copy the (3, count) index arrays of passes into batch, in order, one
+    round of batch.shape[1] triples at a time (the last may be shorter).
+    Yields (triples in the round, lengths of the passes that end in it)."""
+    rows = batch.shape[1]
+    queued, ended = 0, []
+    for idx in passes:
+        length, pos = idx.shape[1], 0
+        while pos < length:
+            take = min(length - pos, rows - queued)
+            batch[:, queued:queued + take] = idx[:, pos:pos + take]
+            queued, pos = queued + take, pos + take
+            if pos == length:
+                ended.append(length)
+            if queued == rows:
+                yield queued, ended
+                queued, ended = 0, []
+    if queued:
+        yield queued, ended
 
 
 def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,

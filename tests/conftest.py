@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from strichartz_lab import propagator
 from strichartz_lab.lattice import (
     UniformGrid,
     WaveFunction,
@@ -50,6 +53,26 @@ def band_edge(grid):
 
 
 @pytest.fixture()
+def pool(monkeypatch):
+    """use(threads, workers=threads - 1) runs the flow engine's pieces, and the
+    constraint-set quadrature's, on that many threads: the calling thread and
+    a private executor of workers (none for 0).  The executors are shut down
+    and the process's own pool is restored when the test ends."""
+    executors = []
+
+    def use(threads, workers=None):
+        workers = threads - 1 if workers is None else workers
+        executor = ThreadPoolExecutor(workers) if workers else None
+        if executor is not None:
+            executors.append(executor)
+        monkeypatch.setattr(propagator, "_POOL", (threads, executor))
+
+    yield use
+    for executor in executors:
+        executor.shutdown()
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
 
@@ -82,3 +105,13 @@ def direct_samples(grid, t, ghat):
     vals = np.zeros(grid.n, dtype=complex)
     vals[inside] = sample_offgrid(WaveFunction(dual, ghat), w[inside])
     return (-4j * np.pi * t) ** -0.5 * np.exp(-1j * grid.x ** 2 / (4.0 * t)) * vals
+
+
+def shared_nodes_sextuple(grid):
+    """The default_rng(4) sextuple of random_band_limited profiles with its
+    outer slots replaced by f, i f(x - 7dx) and f(x + 12dx): one |fhat|, so one
+    set of quadrature nodes, under three different functions."""
+    rng = np.random.default_rng(4)
+    f, _, _, *rest = [random_band_limited(grid, rng) for _ in range(6)]
+    return [f, WaveFunction(grid, 1j * np.roll(f.values, 7)),
+            WaveFunction(grid, np.roll(f.values, -12)), *rest]

@@ -27,7 +27,7 @@ from strichartz_lab.lattice import WaveFunction, lp_norm, make_gaussian
 from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
 from strichartz_lab.sextic_form import KAPPA, _axis_rule, _hat_spline, q_quadrature, q_spacetime
 
-from conftest import direct_samples, random_band_limited
+from conftest import direct_samples, random_band_limited, shared_nodes_sextuple
 
 #: observed 1.22e-9 at commit 3204666
 GAUSSIAN_TWO_ROUTE_BOUND = 1.3e-7
@@ -47,7 +47,7 @@ PICARD_RATIO_BOUND = 1.11e-14
 PICARD_LOGFIT_BOUND = 1.6e-5
 #: q_quadrature at (48, 48) at commit dca3834: the Gaussian diagonal, the
 #: default_rng(4) sextuple (no two outer slots share nodes) and
-#: _shared_nodes_sextuple (all three do, with three different functions)
+#: shared_nodes_sextuple (all three do, with three different functions)
 Q_QUADRATURE_PINS = {
     "gaussian": 885.7449102372607 - 3.149460646535084e-14j,
     "random": -16.1765064136053 - 44.925394681503086j,
@@ -107,21 +107,11 @@ def test_picard_random_start_accelerated(grid, tq):
     assert abs(result.final.ratio - sharp_ratio_exact) <= PICARD_RATIO_BOUND
 
 
-def _shared_nodes_sextuple(grid):
-    """The default_rng(4) sextuple with its outer slots replaced by f,
-    i f(x - 7dx) and f(x + 12dx): one |fhat|, so one set of nodes, under three
-    different functions."""
-    rng = np.random.default_rng(4)
-    f, _, _, *rest = [random_band_limited(grid, rng) for _ in range(6)]
-    return [f, WaveFunction(grid, 1j * np.roll(f.values, 7)),
-            WaveFunction(grid, np.roll(f.values, -12)), *rest]
-
-
 def test_q_quadrature_pins(grid):
     rng = np.random.default_rng(4)
     inputs = {"gaussian": [make_gaussian(grid)] * 6,
               "random": [random_band_limited(grid, rng) for _ in range(6)],
-              "shared_nodes": _shared_nodes_sextuple(grid)}
+              "shared_nodes": shared_nodes_sextuple(grid)}
     nodes = [_axis_rule(_hat_spline(f)[1], 48)[0] for f in inputs["shared_nodes"][:3]]
     assert all(np.array_equal(nodes[0], x) for x in nodes[1:])
     for name, fields in inputs.items():

@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -436,16 +435,15 @@ def _pool_values(grid):
             lambda_apply(f).values.tobytes(), late.real.hex())
 
 
-def test_pooled_engine_equals_one_thread_bit_for_bit(monkeypatch, grid):
-    monkeypatch.setattr(propagator, "_POOL", (1, None))
+def test_pooled_engine_equals_one_thread_bit_for_bit(pool, grid):
+    pool(1)
     inline = _pool_values(grid)
     # two threads, and three, whose pieces of a 16-row block are uneven, and
     # six, where a piece of a shorter block can be longer than the same piece
     # of the widest block
     for threads in (2, 3, 6):
-        with ThreadPoolExecutor(threads - 1) as executor:
-            monkeypatch.setattr(propagator, "_POOL", (threads, executor))
-            assert _pool_values(grid) == inline, threads
+        pool(threads)
+        assert _pool_values(grid) == inline, threads
 
 
 def test_threads_sharing_one_kept_plan_match_sequential_calls(grid):
@@ -492,7 +490,7 @@ def test_import_starts_no_thread():
     assert out == ["0", "None"]
 
 
-def test_piece_exception_reaches_caller_with_no_piece_left_running(monkeypatch):
+def test_piece_exception_reaches_caller_with_no_piece_left_running(pool):
     events = []
 
     def piece(k):
@@ -506,23 +504,22 @@ def test_piece_exception_reaches_caller_with_no_piece_left_running(monkeypatch):
     # one worker for three pieces: the caller runs piece 0 and the worker
     # piece 1; piece 2 is queued, and when piece 1 raises it either never
     # starts or has ended before the exception reaches the caller
-    with ThreadPoolExecutor(1) as executor:
-        monkeypatch.setattr(propagator, "_POOL", (3, executor))
-        assert propagator._run(piece, [0, 3, 2]) == [0, 3, 2]
-        events.clear()
-        with pytest.raises(RuntimeError, match="piece 1"):
-            propagator._run(piece, [0, 1, 2])
-        seen = list(events)
-        time.sleep(0.1)
-        assert events == seen  # nothing started after the raise
-        started = {k for what, k in seen if what == "start"}
-        assert started == {k for what, k in seen if what == "end"}
-        assert {0, 1} <= started
-        # and through a plan: the exception of a reduction reaches the caller
-        plan = FlowPlan(UniformGrid.symmetric(n=64, half_width=4.0), TimeQuadrature.compactified(9))
+    pool(3, workers=1)
+    assert propagator._run(piece, [0, 3, 2]) == [0, 3, 2]
+    events.clear()
+    with pytest.raises(RuntimeError, match="piece 1"):
+        propagator._run(piece, [0, 1, 2])
+    seen = list(events)
+    time.sleep(0.1)
+    assert events == seen  # nothing started after the raise
+    started = {k for what, k in seen if what == "start"}
+    assert started == {k for what, k in seen if what == "end"}
+    assert {0, 1} <= started
+    # and through a plan: the exception of a reduction reaches the caller
+    plan = FlowPlan(UniformGrid.symmetric(n=64, half_width=4.0), TimeQuadrature.compactified(9))
 
-        def failing(*_):
-            raise ValueError("reduction")
+    def failing(*_):
+        raise ValueError("reduction")
 
-        with pytest.raises(ValueError, match="reduction"):
-            list(plan.reduce_blocks([make_gaussian(plan.grid)], np.inf, failing))
+    with pytest.raises(ValueError, match="reduction"):
+        list(plan.reduce_blocks([make_gaussian(plan.grid)], np.inf, failing))
