@@ -38,6 +38,7 @@ import scipy.fft
 
 from .lattice import (
     WaveFunction,
+    _fourier_sum,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -172,32 +173,23 @@ def _moments(axis: np.ndarray, power: np.ndarray) -> tuple[float, float]:
 def _resample_scaled(f: WaveFunction, lam: float) -> np.ndarray:
     """Samples of sqrt(lam) f(lam x) on the same grid via the exact Fourier sum.
 
-    The trigonometric interpolant (dxi / 2pi) sum_c fhat_c e^{i y c dxi}, c
-    the centred frequency index, is evaluated at y = lam x with c split as
-    m q + r, m ~ sqrt(n): two n x sqrt(n) phase tables and one matmul in
-    place of the n x n kernel.  The interpolant is periodic, so evaluation
-    points pushed outside the box by lam > 1 are set to zero (the true
-    profile has decayed there) instead of wrapping around.
+    The sum is periodic with the grid's box [x0, x0 + L), so evaluation
+    points that lam pushes outside the box are set to zero (the true profile
+    has decayed there) instead of wrapping around.
     """
-    fhat = forward_transform(f)
-    dxi = fhat.grid.dxi
-    n = f.grid.n
-    m = 1 << (n.bit_length() // 2)
-    y = lam * f.grid.x
-    half = 0.5 * f.grid.extent
-    inside = (y >= -half) & (y < half)
-    yi = y[inside, None] * dxi
-    q = np.arange(-n // (2 * m), n // (2 * m))
-    low = np.exp(1j * yi * np.arange(m)) @ fhat.values.reshape(-1, m).T
-    vals = np.zeros(n, dtype=complex)
-    vals[inside] = (np.exp(1j * (m * yi) * q) * low).sum(axis=1) * (dxi / (2.0 * np.pi))
+    grid = f.grid
+    y = lam * grid.x
+    inside = (y >= grid.x0) & (y < grid.x0 + grid.extent)
+    vals = np.zeros(grid.n, dtype=complex)
+    vals[inside] = _fourier_sum(forward_transform(f), y[inside])
     return np.sqrt(lam) * vals
 
 
 def gauge_fix(f: WaveFunction) -> WaveFunction:
     """Quotient the symmetry group: center |f|^2 at x = 0, center |fhat|^2 at
     xi = 0, rescale parabolically to the reference second moment 1/4, make
-    fhat(0) real positive, and normalize to unit L^2.
+    fhat(0) real positive, and normalize to unit L^2.  The rescaled samples
+    are lattice's exact Fourier sum of the spectrum at the points lam x.
 
     Idempotent to rounding; leaves the Strichartz ratio unchanged because
     every operation is an invariance of the functional.

@@ -7,6 +7,10 @@ Conventions are nonunitary with angular frequency:
 
 so Plancherel reads ||fhat||_2^2 = 2 pi ||f||_2^2.  Every 2 pi factor is
 carried explicitly; nothing here is unitarily normalized.
+
+Off the grid there is one spline route, sample_offgrid's per-cell Taylor
+table, and one exact Fourier sum, _fourier_sum, which also continues f to
+complex points.
 """
 
 from __future__ import annotations
@@ -269,7 +273,7 @@ def l2_mass_radius(f: WaveFunction, tail: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# off-grid evaluation: the one route from samples to arbitrary points
+# off-grid evaluation: the spline table, and the exact Fourier sum
 # ---------------------------------------------------------------------------
 
 def _spline_table(f: WaveFunction) -> np.ndarray:
@@ -347,6 +351,28 @@ def sample_offgrid(f: WaveFunction, points: np.ndarray) -> np.ndarray:
     u[last] += 1.0
     out = _interpolate(_spline_table(f), (col, u))
     return out if np.ndim(points) else out[0]
+
+
+def _fourier_sum(fhat: WaveFunction, z: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+    """(dxi / 2pi) sum_c fhat_c e^{i z c dxi} at the real or complex points z,
+    c the centred frequency index: the trigonometric interpolant of f.
+
+    c = m q + r with m ~ sqrt(n), a divisor of n / 2: two len(z) x m phase
+    tables and one matmul in place of the len(z) x n kernel.  With a mask
+    live the other samples read zero, and the sum runs over the blocks of m
+    samples that hold the live ones.
+    """
+    n, dxi = fhat.grid.n, fhat.grid.dxi
+    m = 1 << (n.bit_length() // 2)
+    values, lo, hi = fhat.values, 0, n
+    if live is not None:
+        at = np.flatnonzero(live)
+        lo, hi = at[0] - at[0] % m, -(-(at[-1] + 1) // m) * m
+        values = np.where(live, values, 0.0)
+    zi = z[:, None] * dxi
+    q = np.arange(lo - n // 2, hi - n // 2, m) // m
+    low = np.exp(1j * zi * np.arange(m)) @ values[lo:hi].reshape(-1, m).T
+    return (np.exp(1j * (m * zi) * q) * low).sum(axis=1) * (dxi / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,9 @@ independent evaluation routes cross-validate each other:
   circle points in slab arrays that the calling thread allocates once per
   call, one set per piece, and that every round reuses; it writes one
   contribution per triple.  The calling thread sums the contributions of each
-  pass (the triples of one node of the first outer slot) as one contiguous
-  array, and adds those sums in pass order.  All other arithmetic is
-  elementwise, so q_quadrature and m_weighted are the same bit for bit on any
+  round as one contiguous array, and adds those sums in round order.  All
+  other arithmetic is elementwise, so q_quadrature and m_weighted depend on
+  the round size BLOCK_ENTRIES // n_phi, but are the same bit for bit on any
   number of CPUs.
 """
 
@@ -235,14 +235,14 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
 
     Tables, outer rules and outer factors are built on the calling thread.
     The representatives are queued pass by pass (one pass per node of slot
-    0) in rounds of at most BLOCK_ENTRIES // n_phi triples, and a pass may
-    straddle rounds.  propagator._run runs each round as one contiguous piece
-    per pool thread.  A piece evaluates its circle points in its own slab,
-    allocated once per call and reused by every round through out=, and
-    writes one contribution per triple to the per-call array sums.  Once a
-    pass is complete, its contiguous run in sums is summed and added to the
-    total in pass order.  So the value does not depend on where rounds and
-    pieces end, and is the same bit for bit on any number of CPUs.
+    0) in rounds of at most BLOCK_ENTRIES // n_phi triples, and
+    propagator._run runs each round as one contiguous piece per pool thread.
+    A piece evaluates its circle points in its own slab, allocated once per
+    call and reused by every round through out=, and writes one contribution
+    per triple to the per-call array sums.  Each round's contributions are
+    summed as one contiguous array, in round order.  So the value depends on
+    the round size, not on the pieces, and is the same bit for bit on any
+    number of CPUs.
     """
     distinct = {id(f): f for f in fs}
     tables = {key: _hat_spline(f) for key, f in distinct.items()}
@@ -280,9 +280,8 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
                 keep &= idx[a] <= idx[b]
             yield idx[:, keep]
 
-    # triples per round, and the per-call buffers: the triples of a round,
-    # the contributions of the unsummed passes (one may straddle rounds), and
-    # one slab per piece, sized for the largest piece of any round
+    # triples per round, and the per-call buffers: a round's triples and their
+    # contributions, and one slab per piece, sized for the largest piece
     rows = max(1, min(BLOCK_ENTRIES // n_phi, nodes[0].size * idx2.size))
     pieces = min(_pool()[0], rows)
     points = -(-rows // pieces) * n_phi
@@ -297,11 +296,11 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     slabs = [{name: np.empty(points, dtype) for name, dtype in slab.items()}
              for _ in range(pieces)]
     batch = np.empty((3, rows), dtype=np.intp)
-    sums = np.empty(rows + idx2.size, dtype=value)
+    sums = np.empty(rows, dtype=value)
 
     def piece(task):
-        """The contributions of the triples batch[:, sl], to sums[at + sl]."""
-        sl, bufs, at = task
+        """The contributions of the triples batch[:, sl], to sums[sl]."""
+        sl, bufs = task
         count = sl.stop - sl.start
 
         def buf(name):
@@ -356,42 +355,31 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
         integrand *= wphi
         np.multiply(sum(weights) / stabilizer,
                     integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)),
-                    out=sums[at + sl.start:at + sl.stop])
+                    out=sums[sl])
 
     total = 0.0 + 0.0j
-    held = 0  # contributions in sums, from the start of the oldest unsummed pass
-    for count, ended in _rounds(passes(), batch):
-        _run(piece, list(zip(_split(slice(0, count), pieces), slabs, [held] * pieces)))
-        held += count
-        start = 0
-        for length in ended:
-            total += sums[start:start + length].sum()
-            start += length
-        if start:  # the pass left unfinished moves to the front
-            sums[:held - start] = sums[start:held]
-            held -= start
+    for count in _rounds(passes(), batch):
+        _run(piece, list(zip(_split(slice(0, count), pieces), slabs)))
+        total += sums[:count].sum()
     return complex(total)
 
 
 def _rounds(passes, batch: np.ndarray):
     """Copy the (3, count) index arrays of passes into batch, in order, one
     round of batch.shape[1] triples at a time (the last may be shorter).
-    Yields (triples in the round, lengths of the passes that end in it)."""
+    Yields the number of triples in each round."""
     rows = batch.shape[1]
-    queued, ended = 0, []
+    queued = 0
     for idx in passes:
-        length, pos = idx.shape[1], 0
-        while pos < length:
-            take = min(length - pos, rows - queued)
-            batch[:, queued:queued + take] = idx[:, pos:pos + take]
-            queued, pos = queued + take, pos + take
-            if pos == length:
-                ended.append(length)
+        while idx.shape[1]:
+            take = min(idx.shape[1], rows - queued)
+            batch[:, queued:queued + take] = idx[:, :take]
+            queued, idx = queued + take, idx[:, take:]
             if queued == rows:
-                yield queued, ended
-                queued, ended = 0, []
+                yield queued
+                queued = 0
     if queued:
-        yield queued, ended
+        yield queued
 
 
 def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,

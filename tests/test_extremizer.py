@@ -13,6 +13,7 @@ from strichartz_lab.extremizer import (
 )
 from strichartz_lab.lattice import (
     AliasingWarning,
+    UniformGrid,
     WaveFunction,
     inner_product,
     lp_norm,
@@ -106,6 +107,15 @@ def test_resample_scaled_closed_form(grid, lam, a):
     f = WaveFunction(grid, np.exp(-a * x ** 2 + 0.5j * x))
     expected = np.sqrt(lam) * np.exp(-a * (lam * x) ** 2 + 0.5j * lam * x)
     assert np.abs(_resample_scaled(f, lam) - expected).max() <= 1e-14
+
+
+def test_resample_scaled_on_an_offset_grid():
+    # the sum is periodic with the grid's box [-3, 22.6), not with [-12.8, 12.8);
+    # observed 1.3e-15
+    grid = UniformGrid(n=256, dx=0.1, x0=-3.0)
+    f = WaveFunction(grid, np.exp(-(grid.x - 10.0) ** 2))
+    expected = np.sqrt(1.5) * np.exp(-(1.5 * grid.x - 10.0) ** 2)
+    assert np.abs(_resample_scaled(f, 1.5) - expected).max() <= 1.3e-13
 
 
 def test_picard_from_gaussian_immediate(grid, gaussian, tq):

@@ -6,6 +6,7 @@ from strichartz_lab.lattice import (
     GridMismatchError,
     UniformGrid,
     WaveFunction,
+    _fourier_sum,
     forward_transform,
     inner_product,
     inverse_transform,
@@ -250,3 +251,27 @@ def test_load_wavefunction_rejects_other_files(tmp_path, grid):
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match="wf.csv"):
         load_wavefunction(path)
+
+
+#: observed 4.0e-15 at real and 1.2e-15 at complex points, over 20 seeds
+FOURIER_SUM_BOUNDS = (4.0e-13, 1.2e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fourier_sum_matches_the_dense_sum(grid, seed):
+    rng = np.random.default_rng(seed)
+    fhat = forward_transform(random_band_limited(grid, rng))
+    xi = fhat.grid.xi
+
+    def dense(z, values):
+        return np.exp(1j * np.outer(z, xi)) @ values * (fhat.grid.dxi / (2.0 * np.pi))
+
+    x = rng.uniform(-20.0, 20.0, 64)
+    # a window that starts and ends inside a block of the split sum
+    live = np.abs(xi - 1.0) <= 7.0
+    z = x / 4.0 + 1j * rng.uniform(-1.0, 1.0, 64)
+    cases = [(x, None, fhat.values), (z, live, np.where(live, fhat.values, 0.0))]
+    for (points, mask, values), bound in zip(cases, FOURIER_SUM_BOUNDS):
+        expected = dense(points, values)
+        error = np.abs(_fourier_sum(fhat, points, mask) - expected).max()
+        assert error <= bound * np.abs(expected).max()

@@ -2,10 +2,11 @@
 
 Profiles are conftest.random_band_limited draws, whose spectra sit well
 inside the aliasing band; hypothesis draws their seeds.  Examples are
-derandomized, so every run checks the same inputs.  Differences are taken
-relative to the sharp bound KAPPA 12^{-1/2} prod ||f_i||_2 on |Q|, as in
-test_precision_guards, and each bound sits at 100x the largest difference
-observed over 420 seeds.
+derandomized, so every run checks the same inputs.  Differences of Q are
+taken relative to the sharp bound KAPPA 12^{-1/2} prod ||f_i||_2 on |Q|, as
+in test_precision_guards, and differences of functions as L^2 norms relative
+to ||f||_2.  Each bound sits at 100x the largest difference observed, over
+420 seeds for the conjugate symmetries and over 300 for the others.
 """
 
 import math
@@ -13,7 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from strichartz_lab.lattice import UniformGrid, lp_norm
+from strichartz_lab.extremizer import gauge_fix, lambda_apply
+from strichartz_lab.lattice import (
+    UniformGrid,
+    WaveFunction,
+    forward_transform,
+    inner_product,
+    inverse_transform,
+    lp_norm,
+)
 from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
 
 from conftest import random_band_limited
@@ -29,6 +38,15 @@ SPACETIME_CONJUGATE_BOUND = 6.4e-15
 #: (48, 24) the largest difference was 1.04e-4, and at (24, 24) 4.8e-3 on 30
 #: seeds, where 100x would pass a Q that lost its conjugation.
 QUADRATURE_CONJUGATE_BOUND = 4.7e-4
+#: observed 4.11e-16: <g, Lambda f> and Q(g, f, .., f) take different routes
+ADJOINT_BOUND = 4.2e-14
+#: observed 7.12e-17, in a conjugate slot and in a linear slot
+MULTILINEAR_BOUND = 7.2e-15
+#: observed 9.88e-15: a second fix may rescale again by lam - 1 just above
+#: the gauge tolerance
+GAUGE_IDEMPOTENCE_BOUND = 1.0e-12
+#: observed 4.39e-16
+ROUND_TRIP_BOUND = 4.4e-14
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -43,10 +61,18 @@ def _profiles(seed, count):
     return [random_band_limited(GRID, rng) for _ in range(count)]
 
 
+def _sharp_bound(fields):
+    return KAPPA / math.sqrt(12.0) * math.prod(lp_norm(f, 2) for f in fields)
+
+
+def _relative_l2(f, g):
+    """||f - g||_2 / ||g||_2."""
+    return lp_norm(WaveFunction(g.grid, f.values - g.values), 2) / lp_norm(g, 2)
+
+
 def _conjugate_defect(q, fields):
     """|Q(f4, f5, f6, f1, f2, f3) - conj Q(f1, .., f6)| over the sharp bound."""
-    scale = KAPPA / math.sqrt(12.0) * math.prod(lp_norm(f, 2) for f in fields)
-    return abs(q(*fields[3:], *fields[:3]) - np.conj(q(*fields))) / scale
+    return abs(q(*fields[3:], *fields[:3]) - np.conj(q(*fields))) / _sharp_bound(fields)
 
 
 @_examples(2)
@@ -66,3 +92,42 @@ def test_q_quadrature_conjugate_symmetry(seed):
         return q_quadrature(*fields, 64, 24)
 
     assert _conjugate_defect(q, [f, f, f, g, g, g]) <= QUADRATURE_CONJUGATE_BOUND
+
+
+@_examples(4)
+@hypothesis.given(seed=seeds)
+def test_adjoint_identity(seed):
+    g, f = _profiles(seed, 2)
+    defect = abs(inner_product(g, lambda_apply(f)) - q_spacetime(g, f, f, f, f, f))
+    assert defect / _sharp_bound([g] + [f] * 5) <= ADJOINT_BOUND
+
+
+@_examples(2)  # six q_spacetime calls per example
+@hypothesis.given(seed=seeds, a=st.complex_numbers(max_magnitude=2.0))
+def test_q_multilinear(seed, a):
+    """Q(a g + b h, ..) = conj(a) Q(g, ..) + conj(b) Q(h, ..) in slot 1, and
+    the same without conjugates in slot 6."""
+    g, h, *fields = _profiles(seed, 7)
+    b = 0.5 - 0.3j
+    mixed = WaveFunction(GRID, a * g.values + b * h.values)
+    for slot, c in ((0, np.conj), (5, lambda z: z)):
+        def q(x):
+            return q_spacetime(*fields[:slot], x, *fields[slot:])
+
+        defect = abs(q(mixed) - c(a) * q(g) - c(b) * q(h))
+        scale = abs(a) * _sharp_bound(fields + [g]) + abs(b) * _sharp_bound(fields + [h])
+        assert defect <= MULTILINEAR_BOUND * scale, slot
+
+
+@_examples(10)
+@hypothesis.given(seed=seeds)
+def test_gauge_fix_idempotent(seed):
+    once = gauge_fix(_profiles(seed, 1)[0])
+    assert _relative_l2(gauge_fix(once), once) <= GAUGE_IDEMPOTENCE_BOUND
+
+
+@_examples(20)
+@hypothesis.given(seed=seeds)
+def test_transform_round_trip(seed):
+    (f,) = _profiles(seed, 1)
+    assert _relative_l2(inverse_transform(forward_transform(f)), f) <= ROUND_TRIP_BOUND
