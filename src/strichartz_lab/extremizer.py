@@ -132,10 +132,6 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
     switch = switch_time(f)
     late = np.abs(plan.tq.nodes) > switch
-    # a kept Fresnel table is filled here, on the calling thread, for every run
-    # of factored (late) nodes, so that the pieces only read it
-    for a, b in np.flatnonzero(np.diff(np.r_[False, late, False])).reshape(-1, 2):
-        plan.fill("fresnel", slice(int(a), int(b)))
 
     def piece(rows, nodes, phases):
         (rows,) = rows

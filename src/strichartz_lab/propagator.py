@@ -43,9 +43,10 @@ node order and applies the quadrature weights once per block, as one thread
 would.  numpy's per-row sums and pocketfft's per-row transforms do not depend
 on how many rows share a call, so every value is the same bit for bit on any
 number of CPUs.  At most one block's rows are in flight, in buffers the
-calling thread allocates once per call; kept tables are filled on the calling
-thread before a block's pieces start, so workers only read them, and threads
-may share one plan.
+calling thread allocates once per call.  A kept table fills the rows it lacks
+on first read (FlowPlan.table), under the plan's lock and from whichever
+thread reads them, and never writes a filled row again; so pieces, and
+threads that share one plan, read and fill one table at once.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
@@ -124,6 +125,8 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     # about 0.04 s to the package import (2-CPU host)
     from scipy.linalg import eigvalsh_tridiagonal
 
+    if n < 1:
+        raise ValueError(f"a Legendre rule needs at least one node, got {n}")
     c = np.array([0] * n + [1])
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     off = np.arange(1, n) * scl[:-1] * scl[1:]
@@ -155,6 +158,8 @@ class TimeQuadrature:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if not self.nodes.size:
+            raise ValueError("a time rule needs at least one node, got 0")
         if not np.all(np.isfinite(self.nodes)) or not np.all(np.isfinite(self.weights)):
             raise ValueError("nodes and weights must be finite")
         if np.any(self.weights <= 0):
@@ -325,8 +330,15 @@ class FlowPlan:
         self.grid, self.tq = grid, tq
         dual = grid.dual()
         self.block_rows = max(1, BLOCK_ENTRIES // grid.n)
-        self._keep = len(tq.nodes) * grid.n * 16 <= TABLE_BYTES
-        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        m = len(tq.nodes)
+        self._keep = m * grid.n * 16 <= TABLE_BYTES
+        #: each kept table and its filled rows, allocated by the thread that
+        #: makes the plan: a table a pool worker allocated would come from
+        #: that worker's malloc arena, which raised the picard benchmark's
+        #: peak RSS by about 3 MiB (2-CPU host).  np.empty touches no row
+        #: until table fills it.
+        self._tables = {kind: (np.empty((m, grid.n), dtype=complex), np.zeros(m, bool))
+                        for kind in ("flow", "chirp", "fresnel")} if self._keep else {}
         self._fill_lock = threading.Lock()
         #: nodes in exact +-t pairs: the rows of -t are conjugates of those of t
         self._symmetric = np.array_equal(tq.nodes, -tq.nodes[::-1])
@@ -352,36 +364,29 @@ class FlowPlan:
             return slice(0, 0)
         return slice(m - sl.stop, min(m - sl.start, m // 2))
 
-    def fill(self, kind: str, sl: slice) -> None:
-        """Fill rows sl of the kept phase table kind, each t >= 0 row together
-        with its mirror; rows already filled are left as they are, and a plan
-        that keeps no tables does nothing.  A reduction whose fn reads a kept
-        table fills the rows it reads first, on the calling thread."""
+    def table(self, kind: str, sl: slice) -> np.ndarray:
+        """Rows sl of a phase table (see _phases), on any thread: a view of the
+        kept table, or rows computed afresh on a plan that keeps no tables.
+        The kept rows of sl not yet filled are filled first, under the plan's
+        lock, each t >= 0 row together with its mirror and each run of missing
+        rows in place; a filled row is never written again, so views that
+        other threads hold stay valid."""
         if not self._keep:
-            return
+            return self._phases(kind, sl)
         m = len(self.tq.nodes)
+        table, filled = self._tables[kind]
         with self._fill_lock:
-            if kind not in self._tables:
-                self._tables[kind] = (np.empty((m, self.grid.n), dtype=complex), np.zeros(m, bool))
-            table, filled = self._tables[kind]
             todo = np.arange(m)[sl][~filled[sl]]
-            if todo.size:
-                if self._symmetric:
-                    todo = np.maximum(todo, m - 1 - todo)
-                src = slice(int(todo.min()), int(todo.max()) + 1)
+            if self._symmetric:
+                todo = np.unique(np.maximum(todo, m - 1 - todo))
+            runs = np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1) if todo.size else []
+            for run in runs:
+                src = slice(int(run[0]), int(run[-1]) + 1)
                 mirror = self._mirror(src)
                 self._phases(kind, src, out=table[src])
                 np.conj(table[src][::-1][:mirror.stop - mirror.start], out=table[mirror])
                 filled[src] = filled[mirror] = True
-
-    def table(self, kind: str, sl: slice) -> np.ndarray:
-        """Rows sl of a phase table (see _phases): a view of the kept table,
-        filled first where it lacks them, or rows computed afresh on a plan
-        that keeps no tables."""
-        if not self._keep:
-            return self._phases(kind, sl)
-        self.fill(kind, sl)
-        return self._tables[kind][0][sl]
+        return table[sl]
 
     def _phases(self, kind: str, sl: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Rows sl of a phase table, into out when given: "flow" e^{it xi^2}
@@ -409,10 +414,11 @@ class FlowPlan:
     def _piece(self, factored: bool, inputs: dict, fields, fn, task):
         """fn's results on the rows of a piece's mirror (None when it has none)
         and of the piece.  task is (rows sl, (row buffer, phase buffer)): the
-        rows of every input go through one transform in the row buffer; an
-        unkept plan computes its phase rows in the phase buffer, conjugates
-        them in place for the mirror and back for sl, which is exact, so the
-        two cost one array of exponentials."""
+        rows of every input go through one transform in the row buffer.  A
+        kept plan reads its phase rows through table; an unkept plan computes
+        them in the phase buffer, conjugates them in place for the mirror and
+        back for sl, which is exact, so the two cost one array of
+        exponentials."""
         sl, (row_buf, phase_buf) = task
         n = self.grid.n
         kind, transform = ("chirp", scipy.fft.fft) if factored else ("flow", scipy.fft.ifft)
@@ -431,8 +437,8 @@ class FlowPlan:
         mirror = self._mirror(sl)
         count = mirror.stop - mirror.start
         if self._keep:
-            table = self._tables[kind][0]
-            return (apply(mirror, table[mirror]) if count else None), apply(sl, table[sl])
+            mirrored = apply(mirror, self.table(kind, mirror)) if count else None
+            return mirrored, apply(sl, self.table(kind, sl))
         phases = self._phases(kind, sl, phase_buf[:(sl.stop - sl.start) * n].reshape(-1, n))
         mirrored = None
         if count:
@@ -452,8 +458,7 @@ class FlowPlan:
         slots is evolved once.  phases are the rows that made them: the flow
         multiplier e^{it xi^2}, or the chirp of the factored gauge.  fn returns
         arrays whose first axis runs over the rows.  It may run on any thread
-        of the pool, so it reads a kept table only after the calling thread
-        has filled the rows it reads (fill).
+        of the pool, and reads any other phase rows through table.
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each
@@ -484,7 +489,6 @@ class FlowPlan:
             piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn)
             for start in range(a, b, self.block_rows):
                 sl = slice(start, min(start + self.block_rows, b))
-                self.fill("chirp" if fac else "flow", sl)  # so that workers only read tables
                 parts = _run(piece, list(zip(_split(sl, pieces), work)))
                 mirror = self._mirror(sl)
                 if mirror.stop > mirror.start:

@@ -41,16 +41,16 @@ independent evaluation routes cross-validate each other:
   n^3 to n(n+1)(n+2)/6 for n outer nodes per axis.
 
   The circle integrals run on the flow engine's threads.  The calling thread
-  builds the tables and the outer rules, then queues the representatives in
-  rounds of at most BLOCK_ENTRIES circle points (whole triples), and splits
-  each round into one contiguous piece per thread.  A piece evaluates its
-  circle points in slab arrays that the calling thread allocates once per
-  call, one set per piece, and that every round reuses; it writes one
-  contribution per triple.  The calling thread sums the contributions of each
-  round as one contiguous array, and adds those sums in round order.  All
-  other arithmetic is elementwise, so q_quadrature and m_weighted depend on
-  the round size BLOCK_ENTRIES // n_phi, but are the same bit for bit on any
-  number of CPUs.
+  builds the tables, the outer rules and one index array of all
+  representatives, takes it in rounds of at most BLOCK_ENTRIES circle points
+  (whole triples), and splits each round into one contiguous piece per
+  thread.  A piece evaluates its circle points in slab arrays that the
+  calling thread allocates once per call, one set per piece, and that every
+  round reuses; it writes one contribution per triple.  The calling thread
+  sums the contributions of each round as one contiguous array, and adds
+  those sums in round order.  All other arithmetic is elementwise, so
+  q_quadrature and m_weighted depend on the round size BLOCK_ENTRIES //
+  n_phi, but are the same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -233,10 +233,12 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     exponentials stay <= 1 (the full exponent is <= 0 on the constraint set)
     and no overflow meets an underflow.
 
-    Tables, outer rules and outer factors are built on the calling thread.
-    The representatives are queued pass by pass (one pass per node of slot
-    0) in rounds of at most BLOCK_ENTRIES // n_phi triples, and
-    propagator._run runs each round as one contiguous piece per pool thread.
+    Tables, outer rules and outer factors are built on the calling thread,
+    and so is reps, the (3, count) index array of the representatives in C
+    order of (i, j, k), at 24 B per representative (2.7 MB for the 48^3
+    unshared triples of one panel per axis).  Each round is the view of the
+    next BLOCK_ENTRIES // n_phi columns of reps, and propagator._run runs it
+    as one contiguous piece per pool thread.
     A piece evaluates its circle points in its own slab, allocated once per
     call and reused by every round through out=, and writes one contribution
     per triple to the per-call array sums.  Each round's contributions are
@@ -266,23 +268,18 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
         signed_f = [weight(nodes[0], w), -weight(nodes[1], w), -weight(nodes[2], w)]
     same = [[np.array_equal(a, b) for b in nodes] for a in nodes]
     perms = [pi for pi in permutations(range(3)) if all(same[s][pi[s]] for s in range(3))]
-    shared = [(a, b) for a, b in combinations(range(3), 2) if same[a][b]]
-    idx2, idx3 = (ix.ravel() for ix in np.meshgrid(np.arange(nodes[1].size),
-                                                     np.arange(nodes[2].size), indexing="ij"))
+    # the representatives (i, j, k), ascending within each class of equal
+    # slots, as the columns of a (3, count) index array in C order
+    ix = np.ix_(*(np.arange(x.size) for x in nodes))
+    keep = np.ones([x.size for x in nodes], dtype=bool)
+    for a, b in combinations(range(3), 2):
+        if same[a][b]:
+            keep &= ix[a] <= ix[b]
+    reps = np.stack(np.nonzero(keep))
 
-    def passes():
-        """The representatives (i, j, k) of each node i of slot 0, as the
-        columns of a (3, count) index array."""
-        for i in range(nodes[0].size):
-            idx = np.stack((np.full_like(idx2, i), idx2, idx3))
-            keep = np.ones(idx2.size, dtype=bool)
-            for a, b in shared:
-                keep &= idx[a] <= idx[b]
-            yield idx[:, keep]
-
-    # triples per round, and the per-call buffers: a round's triples and their
-    # contributions, and one slab per piece, sized for the largest piece
-    rows = max(1, min(BLOCK_ENTRIES // n_phi, nodes[0].size * idx2.size))
+    # triples per round, and the per-call buffers: a round's contributions,
+    # and one slab per piece, sized for the largest piece
+    rows = max(1, min(BLOCK_ENTRIES // n_phi, reps.shape[1]))
     pieces = min(_pool()[0], rows)
     points = -(-rows // pieces) * n_phi
     value = float if absolute else complex
@@ -295,13 +292,12 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
         slab.update(factor=float, wx=float, z=complex)
     slabs = [{name: np.empty(points, dtype) for name, dtype in slab.items()}
              for _ in range(pieces)]
-    batch = np.empty((3, rows), dtype=np.intp)
     sums = np.empty(rows, dtype=value)
 
     def piece(task):
-        """The contributions of the triples batch[:, sl], to sums[sl]."""
-        sl, bufs = task
-        count = sl.stop - sl.start
+        """The contributions of the (3, count) triples idx, to out."""
+        idx, out, bufs = task
+        count = idx.shape[1]
 
         def buf(name):
             return bufs[name][:count * n_phi].reshape(count, n_phi)
@@ -312,7 +308,6 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
                 return np.abs(vals, out=buf(name))
             return _interpolate(table, cells, out=(buf(name), buf("scratch")))
 
-        idx = batch[:, sl]
         x1, x2, x3 = (x[ix] for x, ix in zip(nodes, idx))
         sigma = x1 + x2 + x3
         tau = x1 ** 2 + x2 ** 2 + x3 ** 2
@@ -355,31 +350,16 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
         integrand *= wphi
         np.multiply(sum(weights) / stabilizer,
                     integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)),
-                    out=sums[sl])
+                    out=out)
 
     total = 0.0 + 0.0j
-    for count in _rounds(passes(), batch):
-        _run(piece, list(zip(_split(slice(0, count), pieces), slabs)))
+    for start in range(0, reps.shape[1], rows):
+        batch = reps[:, start:start + rows]
+        count = batch.shape[1]
+        _run(piece, [(batch[:, sl], sums[sl], bufs)
+                     for sl, bufs in zip(_split(slice(0, count), pieces), slabs)])
         total += sums[:count].sum()
     return complex(total)
-
-
-def _rounds(passes, batch: np.ndarray):
-    """Copy the (3, count) index arrays of passes into batch, in order, one
-    round of batch.shape[1] triples at a time (the last may be shorter).
-    Yields the number of triples in each round."""
-    rows = batch.shape[1]
-    queued = 0
-    for idx in passes:
-        while idx.shape[1]:
-            take = min(idx.shape[1], rows - queued)
-            batch[:, queued:queued + take] = idx[:, :take]
-            queued, idx = queued + take, idx[:, take:]
-            if queued == rows:
-                yield queued
-                queued = 0
-    if queued:
-        yield queued
 
 
 def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,

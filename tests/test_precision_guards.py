@@ -13,15 +13,20 @@ guard rests on one rounding unit.  The Picard log-fit guard sits at 100x the
 residual observed once the iteration was Anderson-mixed.  The q_quadrature
 pins hold the values recorded at commit dca3834, before the quadrature
 summed the circle integral once per symmetric orbit of outer nodes; like
-TAIL_CHAIN_M_GAUSSIAN they are guarded at 1e-13 relative.
+TAIL_CHAIN_M_GAUSSIAN they are guarded at 1e-13 relative.  The Hermite
+functions psi_k are exact Euler-Lagrange solutions; their guards, and those of
+the ratio-deficit quotients at psi_0 + eps psi_k, sit at 100x what the default
+grid and time rule reached at commit 26cfccf.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial.hermite import hermval
+from numpy.polynomial.legendre import legval
 
 from strichartz_lab.experiments import _random_smooth_profile
-from strichartz_lab.extremizer import picard_iterate
+from strichartz_lab.extremizer import lambda_apply, picard_iterate
 from strichartz_lab.functional_equation import quadratic_log_fit, residual_statistic
 from strichartz_lab.lattice import WaveFunction, lp_norm, make_gaussian
 from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
@@ -117,3 +122,61 @@ def test_q_quadrature_pins(grid):
     for name, fields in inputs.items():
         pin = Q_QUADRATURE_PINS[name]
         assert abs(q_quadrature(*fields, 48, 48) - pin) <= 1e-13 * abs(pin), name
+
+
+# ---------------------------------------------------------------------------
+# the Hermite family: exact Euler-Lagrange solutions beyond the Gaussian
+# ---------------------------------------------------------------------------
+
+#: observed 1.81e-14 (relative residual of Lambda psi_k = omega_k psi_k, k = 5)
+HERMITE_EIGEN_BOUND = 1.81e-12
+#: observed 1.72e-16 (ratio of psi_5 against the L^6 scaling law, relative)
+HERMITE_RATIO_BOUND = 1.8e-14
+#: observed 9.6e-16 (omega_k against KAPPA 12^{-1/2} (||psi_k||_6 / ||psi_0||_6)^6)
+HERMITE_OMEGA_BOUND = 9.6e-14
+#: omega_0 .. omega_4 as recorded at commit 26cfccf, to the digits shown
+HERMITE_OMEGAS = (449.9133, 249.9518, 183.2980, 148.4625, 126.5493)
+#: observed |q_k(3e-3) - (1 - mu_k) / 2|: 1.5e-11 and 2.0e-6 for the neutral
+#: k = 1, 2; 5.6e-8, 3.2e-7 and 1.07e-6 for k = 3, 4, 6
+DEFICIT_BOUNDS = {1: 1.5e-9, 2: 2.0e-4, 3: 5.6e-6, 4: 3.2e-5, 6: 1.07e-4}
+
+
+def _hermite(grid, k):
+    """psi_k = H_k(sqrt 2 x) e^{-x^2} at unit L^2 norm."""
+    values = hermval(np.sqrt(2.0) * grid.x, [0] * k + [1]) * np.exp(-grid.x ** 2)
+    f = WaveFunction(grid, values.astype(complex))
+    f.values /= lp_norm(f, 2)
+    return f
+
+
+def test_hermite_functions_are_exact_lambda_eigenfunctions(grid):
+    # the lens transform turns the flow of psi_k into e^{-i(k + 1/2) theta} psi_k,
+    # so |u| is the same rescaling of |psi_k| at every t: Lambda psi_k is a
+    # multiple of psi_k, and the ratio scales as ||psi_k||_6
+    psi0 = _hermite(grid, 0)
+    r0, l6_0 = strichartz_ratio(psi0), lp_norm(psi0, 6)
+    for k in range(6):
+        psi = _hermite(grid, k)
+        lam = lambda_apply(psi).values
+        omega = grid.dx * np.vdot(psi.values, lam).real
+        residual = np.linalg.norm(lam - omega * psi.values) / np.linalg.norm(lam)
+        assert residual <= HERMITE_EIGEN_BOUND, k
+        scale = lp_norm(psi, 6) / l6_0
+        assert abs(strichartz_ratio(psi) / (r0 * scale) - 1.0) <= HERMITE_RATIO_BOUND, k
+        closed = KAPPA / math.sqrt(12.0) * scale ** 6
+        assert abs(omega / closed - 1.0) <= HERMITE_OMEGA_BOUND, k
+        if k < len(HERMITE_OMEGAS):
+            assert abs(omega - HERMITE_OMEGAS[k]) <= 5e-5, k
+
+
+def test_ratio_deficit_quotients_match_the_hermite_spectrum(grid):
+    # q_k(eps) = (C_1 - R(psi_0 + eps psi_k)) / (C_1 eps^2) tends to
+    # (1 - mu_k) / 2, mu_k = 3 (i / sqrt 3)^k P_k(-i / sqrt 3) the eigenvalue
+    # of DLambda(G) / omega on psi_k; mu_1 = mu_2 = 1 are neutral directions
+    eps = 3e-3
+    psi0 = _hermite(grid, 0)
+    for k, bound in DEFICIT_BOUNDS.items():
+        f = WaveFunction(grid, psi0.values + eps * _hermite(grid, k).values)
+        q = (sharp_ratio_exact - strichartz_ratio(f)) / (sharp_ratio_exact * eps ** 2)
+        mu = (3.0 * (1j / math.sqrt(3.0)) ** k * legval(-1j / math.sqrt(3.0), [0] * k + [1])).real
+        assert abs(q - (1.0 - mu) / 2.0) <= bound, k

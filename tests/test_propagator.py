@@ -31,7 +31,7 @@ from strichartz_lab.propagator import (
     strichartz_ratio,
     switch_time,
 )
-from strichartz_lab.sextic_form import q_spacetime
+from strichartz_lab.sextic_form import q_quadrature, q_spacetime
 
 from conftest import direct_samples, random_band_limited
 
@@ -52,6 +52,20 @@ def test_time_quadrature_invariants():
         TimeQuadrature(nodes=np.array([0.0, 0.0]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeQuadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
+
+
+def test_empty_rules_and_node_counts_below_one_are_rejected(grid):
+    # an empty rule used to reach a ZeroDivisionError in reduce_blocks, and a
+    # count of 0 scipy's tridiagonal solver
+    with pytest.raises(ValueError, match="at least one node, got 0"):
+        TimeQuadrature(nodes=[], weights=[])
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"at least one node, got {n}"):
+            TimeQuadrature.compactified(n)
+    f = make_gaussian(grid)
+    for counts in ({"n_outer": 0}, {"n_phi": 0}):
+        with pytest.raises(ValueError, match="at least one node, got 0"):
+            q_quadrature(f, f, f, f, f, f, **counts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 33, 48, 257, 1025])

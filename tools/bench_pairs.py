@@ -11,7 +11,11 @@ cold cache in ``setup_s``, and then runs, for each workload, --pairs pairs of
 one seed per pair (--first-seed, +1, ...), the parent first on odd pairs.
 Every run's result line is echoed as it ends.  At the end it prints, for
 each workload and end-to-end metric of ``BENCHMARK.json``, both sides'
-median [Q1, Q3], the pairs the change won, and a verdict:
+median [Q1, Q3], the pairs the change won, and a verdict.  Below them come
+the same rows for ``solve_s[<op>]``, each run's median untraced seconds of
+one op kind (read from the detail line before the result line), judged with
+the bound of ``solve_s``; a workload that mixes op kinds of different cost
+can be resolved per kind when its ``solve_s`` is not.  The verdicts:
 
 * ``worse beyond bound``: the change's median is worse than the parent's by
   more than the metric's relative bound;
@@ -58,15 +62,20 @@ def archive(ref: str, into: Path) -> Path:
     return tree
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in tree."""
+def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The result line of one perfbench run in tree, and the median untraced
+    seconds of each op kind, from the detail line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
+    if proc.returncode or len(lines) < 2:
         sys.exit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    seconds_by_kind = {}
+    for op in json.loads(lines[-2])["ops"]:
+        if not op["traced"]:
+            seconds_by_kind.setdefault(op["op"], []).append(op["seconds"])
+    return json.loads(lines[-1]), {k: statistics.median(v) for k, v in seconds_by_kind.items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -106,19 +115,23 @@ def main(argv=None) -> int:
                 seed = args.first_seed + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run(trees[side], workload, seed, seconds)
+                    result, kinds = run(trees[side], workload, seed, seconds)
                     values = {m: v["value"] for m, v in result["metrics"].items()}
+                    values.update({f"solve_s[{kind}]": v for kind, v in kinds.items()})
                     records.append({"workload": workload, "side": side,
                                     "failed": result["failed"], "metrics": values})
                     print(f"{workload} pair {k + 1} seed {seed} {side}: "
                           + " ".join(f"{m['name']}={values.get(m['name'])}" for m in metrics)
+                          + "".join(f" {name}={v}" for name, v in values.items() if "[" in name)
                           + f" failed={result['failed']}/{result['attempted']}", flush=True)
 
-    print(f"\n{'workload':9} {'metric':12} {'parent median [Q1, Q3]':>32} "
+    solve = next(m for m in metrics if m["name"] == "solve_s")
+    print(f"\n{'workload':9} {'metric':18} {'parent median [Q1, Q3]':>32} "
           f"{'change median [Q1, Q3]':>32} {'wins':>6}  verdict")
     for workload in workloads:
         runs = [r for r in records if r["workload"] == workload]
-        for m in metrics:
+        kinds = sorted({name for r in runs for name in r["metrics"] if name.startswith("solve_s[")})
+        for m in metrics + [dict(solve, name=kind) for kind in kinds]:
             name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
             side = {s: [r["metrics"][name] for r in runs if r["side"] == s]
                     for s in ("parent", "change")}
@@ -127,7 +140,7 @@ def main(argv=None) -> int:
             for s in ("parent", "change"):
                 q1, q2, q3 = quartiles(side[s])
                 cols.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
-            print(f"{workload:9} {name:12} {cols[0]:>32} {cols[1]:>32} "
+            print(f"{workload:9} {name:18} {cols[0]:>32} {cols[1]:>32} "
                   f"{wins:>2}/{len(side['change']):<3}  "
                   f"{verdict(side['parent'], side['change'], m['better'], m['bound'])}")
         failed = {s: sum(r["failed"] for r in runs if r["side"] == s) for s in ("parent", "change")}
