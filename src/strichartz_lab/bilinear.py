@@ -32,6 +32,7 @@ from .lattice import (
     forward_transform,
     inverse_transform,
     lp_norm,
+    write_table,
 )
 from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature
 
@@ -204,11 +205,8 @@ def separation_sweep(s: float, Ns: list[float], profile: str = "flat", seed: int
 def save_sweep(result: SweepResult, path) -> None:
     """CSV (N, value, bound, slope-so-far) plus log-log columns for plotting."""
     slopes = iter(result.slope_so_far())
-    with open(path, "w") as fh:
-        fh.write(f"# bilinear-sweep s={result.s!r} profile={result.profile} "
-                 f"seed={result.seed} slope={result.slope!r}\n")
-        fh.write("N,value,bound,slope_so_far,log10_N,log10_value\n")
-        for N, v, b in zip(result.ns, result.values, result.bounds):
-            sl = next(slopes) if N > 1 else float("nan")
-            fh.write(f"{float(N)!r},{float(v)!r},{float(b)!r},{float(sl)!r},"
-                     f"{float(np.log10(N))!r},{float(np.log10(v))!r}\n")
+    write_table(path, ["N", "value", "bound", "slope_so_far", "log10_N", "log10_value"],
+                ((float(N), v, b, next(slopes) if N > 1 else float("nan"), np.log10(N),
+                  np.log10(v)) for N, v, b in zip(result.ns, result.values, result.bounds)),
+                comment=f"bilinear-sweep s={float(result.s)!r} profile={result.profile} "
+                        f"seed={result.seed} slope={result.slope!r}")

@@ -3,10 +3,11 @@
 Each experiment consumes a plain-text key-value config that holds its
 inputs and nothing else (every key it reads, echoed in full into each
 report; a key it does not read is refused), runs one module pipeline,
-writes a structured report plus CSV data files, and reports pass/fail per
-named check against fixed acceptance gates, which each report lists under
-[gates].  Identical configs and seeds produce byte-identical report
-bodies; wall clock and versions live in a trailing metadata section
+writes a structured report plus data tables (lattice.write_table), which
+the report lists under [files], and reports pass/fail per named check
+against fixed acceptance gates, which each report lists under [gates].
+Identical configs and seeds produce byte-identical report bodies and data
+files; wall clock and versions live in a trailing metadata section
 excluded from that guarantee.
 """
 
@@ -106,6 +107,7 @@ class ExperimentConfig:
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
+    out: Path  # the run directory, which holds report.txt and every listed file
     gates: dict[str, float] = field(default_factory=dict)
     results: dict[str, str] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
@@ -135,14 +137,18 @@ class ExperimentReport:
         meta_lines += [f"{k} = {v}" for k, v in self.meta.items()]
         return self.body_text() + "\n".join(meta_lines) + "\n"
 
+    def save(self, name: str, write) -> None:
+        """write(path) into the run directory; list the file under [files] by its stem."""
+        write(self.out / name)
+        self.files[Path(name).stem] = name
+
+    def table(self, name: str, header, rows, comment=None, sep=",") -> None:
+        """A lattice.write_table data file in the run directory, listed like save's."""
+        self.save(name, lambda path: lt.write_table(path, header, rows, comment, sep))
+
 
 def _record(results: dict, key: str, value) -> None:
-    if isinstance(value, float):
-        results[key] = repr(float(value))  # plain-float repr, even for numpy scalars
-    elif isinstance(value, complex):
-        results[key] = repr(complex(value))
-    else:
-        results[key] = str(value)
+    results[key] = lt._cell(value)  # a table's cell rule: floats read back exactly
 
 
 def _grid_from(config: ExperimentConfig) -> lt.UniformGrid:
@@ -174,7 +180,7 @@ def _random_smooth_profile(grid: lt.UniformGrid, rng: np.random.Generator) -> lt
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _run_sharp_constant(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
+def _run_sharp_constant(config: ExperimentConfig, report: ExperimentReport) -> None:
     grid = _grid_from(config)
     tq = _tq_from(config)
     gate = report.gates
@@ -210,11 +216,10 @@ def _run_sharp_constant(config: ExperimentConfig, out: Path, report: ExperimentR
     report.checks["plancherel_constant_2pi"] = plancherel <= gate["plancherel_rel_tol"]
     report.checks["evolution_unitary"] = unitarity <= gate["unitarity_rel_tol"]
 
-    lt.save_wavefunction(f, out / "input_state.csv")
-    report.files["input_state"] = "input_state.csv"
+    report.save("input_state.csv", lambda path: lt.save_wavefunction(f, path))
 
 
-def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
+def _run_iterate(config: ExperimentConfig, report: ExperimentReport) -> None:
     grid = _grid_from(config)
     tq = _tq_from(config)
     strength = config.get_float("start.linear_perturbation")
@@ -257,13 +262,11 @@ def _run_iterate(config: ExperimentConfig, out: Path, report: ExperimentReport) 
                                                 <= gate["ratio_abs_tol"])
     report.checks["gaussian_certified"] = fit.gaussian_certified
     report.checks["functional_equation_residual"] = sup_res <= gate["product_residual_tol"]
-    ex.save_trajectory(result, out / "trajectory.csv")
-    lt.save_wavefunction(final.f, out / "final_state.csv")
-    report.files["trajectory"] = "trajectory.csv"
-    report.files["final_state"] = "final_state.csv"
+    report.save("trajectory.csv", lambda path: ex.save_trajectory(result, path))
+    report.save("final_state.csv", lambda path: lt.save_wavefunction(final.f, path))
 
 
-def _run_bilinear_sweep(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
+def _run_bilinear_sweep(config: ExperimentConfig, report: ExperimentReport) -> None:
     s = config.get_float("sweep.band_scale_xi")
     ns = config.get_float_list("sweep.separation_list")
     box = config.get_float("sweep.box_half_width_x")
@@ -280,12 +283,10 @@ def _run_bilinear_sweep(config: ExperimentConfig, out: Path, report: ExperimentR
         v <= b * (1.0 + report.gates["hy_bound_rel_slack"])
         for v, b in zip(result.values, result.bounds) if not np.isnan(b)
     )
-    bl.save_sweep(result, out / "sweep.csv")
-    report.files["sweep"] = "sweep.csv"
+    report.save("sweep.csv", lambda path: bl.save_sweep(result, path))
 
 
-def _run_functional_residual(config: ExperimentConfig, out: Path,
-                             report: ExperimentReport) -> None:
+def _run_functional_residual(config: ExperimentConfig, report: ExperimentReport) -> None:
     n_samples = config.get_int("sampler.n_samples")
     box = config.get_float("sampler.box_half_width_x")
     seed = config.get_int("seed")
@@ -306,23 +307,18 @@ def _run_functional_residual(config: ExperimentConfig, out: Path,
     _record(report.results, "sech_rms_residual", rms_s)
     report.checks["gaussian_residual_vanishes"] = sup_g <= report.gates["gaussian_sup_tol"]
     report.checks["sech_residual_discriminates"] = sup_s >= report.gates["sech_sup_floor"]
-    with open(out / "residuals.csv", "w") as fh:
-        fh.write("profile,sup,rms\n")
-        fh.write(f"log-quadratic,{sup_g!r},{rms_g!r}\n")
-        fh.write(f"sech,{sup_s!r},{rms_s!r}\n")
+    report.table("residuals.csv", ["profile", "sup", "rms"],
+                 [("log-quadratic", sup_g, rms_g), ("sech", sup_s, rms_s)])
     # histogram of log10 residuals (zeros folded into the lowest bin)
     edges = np.linspace(-18.0, 0.0, 37)
-    with open(out / "residual_histogram.csv", "w") as fh:
-        fh.write("log10_bin_left,log10_bin_right,count_log_quadratic,count_sech\n")
-        hist_g, _ = np.histogram(np.log10(np.maximum(res_g, 1e-18)), bins=edges)
-        hist_s, _ = np.histogram(np.log10(np.maximum(res_s, 1e-18)), bins=edges)
-        for left, right, cg, cs in zip(edges[:-1], edges[1:], hist_g, hist_s):
-            fh.write(f"{float(left)!r},{float(right)!r},{int(cg)},{int(cs)}\n")
-    report.files["residuals"] = "residuals.csv"
-    report.files["residual_histogram"] = "residual_histogram.csv"
+    hist_g, _ = np.histogram(np.log10(np.maximum(res_g, 1e-18)), bins=edges)
+    hist_s, _ = np.histogram(np.log10(np.maximum(res_s, 1e-18)), bins=edges)
+    report.table("residual_histogram.csv",
+                 ["log10_bin_left", "log10_bin_right", "count_log_quadratic", "count_sech"],
+                 zip(edges[:-1], edges[1:], hist_g, hist_s))
 
 
-def _run_power_sums(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
+def _run_power_sums(config: ExperimentConfig, report: ExperimentReport) -> None:
     kmax = config.get_int("powersums.kmax")
     rows = fe.golden_power_sums(kmax)
     nonzero = all(r.p != 0 for r in rows)
@@ -334,16 +330,13 @@ def _run_power_sums(config: ExperimentConfig, out: Path, report: ExperimentRepor
     _record(report.results, "p_5", rows[2].p)
     report.checks["all_power_sums_nonzero"] = nonzero
     report.checks["exact_rational_bounds_hold"] = bounds
-    with open(out / "power_sums.txt", "w") as fh:
-        fh.write("# exact golden-ratio power sums: p_k = 2 + (-1)^k - L_k\n")
-        fh.write("k lucas p bound_num bound_den holds\n")
-        for r in rows:
-            fh.write(f"{r.k} {r.lucas} {r.p} {r.bound.numerator} "
-                     f"{r.bound.denominator} {r.bound_holds}\n")
-    report.files["power_sums"] = "power_sums.txt"
+    report.table("power_sums.txt", ["k", "lucas", "p", "bound_num", "bound_den", "holds"],
+                 [(r.k, r.lucas, r.p, r.bound.numerator, r.bound.denominator, r.bound_holds)
+                  for r in rows],
+                 comment="exact golden-ratio power sums: p_k = 2 + (-1)^k - L_k", sep=" ")
 
 
-def _run_decay_report(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
+def _run_decay_report(config: ExperimentConfig, report: ExperimentReport) -> None:
     grid = _grid_from(config)
     s = config.get_float("decay.band_threshold_xi")
     s_grid = config.get_float_list("decay.threshold_list_xi")
@@ -385,21 +378,12 @@ def _run_decay_report(config: ExperimentConfig, out: Path, report: ExperimentRep
                                                       <= gate["probe_abs_tol"])
     report.checks["cauchy_riemann_residual_small"] = float(crs[0]) <= gate["cauchy_riemann_tol"]
 
-    with open(out / "g_scan.csv", "w") as fh:
-        fh.write("C,M,x0,x1\n")
-        for c, scan in zip(c_grid, scans):
-            fh.write(f"{float(c)!r},{float(scan.m_sup)!r},{float(scan.x0)!r},"
-                     f"{float(scan.x1)!r}\n")
-    with open(out / "h_curve.csv", "w") as fh:
-        fh.write("eps,H\n")
-        fh.write(f"0.0,{float(h_zero)!r}\n")
-        for eps, hval in zip(eps_grid, h_values):
-            fh.write(f"{float(eps)!r},{float(hval)!r}\n")
-    report.files["g_scan"] = "g_scan.csv"
-    report.files["h_curve"] = "h_curve.csv"
+    report.table("g_scan.csv", ["C", "M", "x0", "x1"],
+                 [(c, scan.m_sup, scan.x0, scan.x1) for c, scan in zip(c_grid, scans)])
+    report.table("h_curve.csv", ["eps", "H"], [(0.0, h_zero), *zip(eps_grid, h_values)])
 
 
-def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentReport) -> None:
+def _run_q_crosscheck(config: ExperimentConfig, report: ExperimentReport) -> None:
     grid = _grid_from(config)
     tq = _tq_from(config)
     seed = config.get_int("seed")
@@ -438,18 +422,14 @@ def _run_q_crosscheck(config: ExperimentConfig, out: Path, report: ExperimentRep
         v_quad = sx.q_quadrature(*sextet)
         rel = abs(v_st - v_quad) / max(abs(v_st), 1e-300)
         worst = max(worst, rel)
-        rows.append((i, v_st, v_quad, rel))
+        rows.append((f"random_{i}", v_st.real, v_st.imag, v_quad.real, v_quad.imag, rel))
     _record(report.results, "random_sextuples", n_random)
     _record(report.results, "random_worst_rel_diff", worst)
     report.checks["random_oracle_agreement"] = worst <= report.gates["random_rel_tol"]
 
-    with open(out / "crosscheck.csv", "w") as fh:
-        fh.write("case,re_spacetime,im_spacetime,re_quadrature,im_quadrature,rel_diff\n")
-        fh.write(f"gaussian,{qs.real!r},{qs.imag!r},{qq.real!r},{qq.imag!r},{gauss_rel!r}\n")
-        for i, v_st, v_quad, rel in rows:
-            fh.write(f"random_{i},{v_st.real!r},{v_st.imag!r},"
-                     f"{v_quad.real!r},{v_quad.imag!r},{rel!r}\n")
-    report.files["crosscheck"] = "crosscheck.csv"
+    report.table("crosscheck.csv", ["case", "re_spacetime", "im_spacetime", "re_quadrature",
+                                    "im_quadrature", "rel_diff"],
+                 [("gaussian", qs.real, qs.imag, qq.real, qq.imag, gauss_rel), *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +543,10 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
     out = Path(out_dir)
     created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(config=config, gates=dict(spec["gates"]))
+    report = ExperimentReport(config=config, out=out, gates=dict(spec["gates"]))
     started = time.perf_counter()
     try:
-        spec["runner"](config, out, report)
+        spec["runner"](config, report)
     except ValueError as err:  # ConfigError, or a value the library rejects
         if created is not None:
             shutil.rmtree(created)
@@ -578,6 +558,5 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
     )
     report.meta["wall_clock_seconds"] = f"{elapsed:.3f}"
     report.meta["timestamp_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    with open(out / "report.txt", "w") as fh:
-        fh.write(report.to_text())
+    (out / "report.txt").write_text(report.to_text())
     return report

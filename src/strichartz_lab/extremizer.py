@@ -43,6 +43,7 @@ from .lattice import (
     inverse_transform,
     lp_norm,
     warn_if_aliased,
+    write_table,
 )
 from .propagator import (
     FlowPlan,
@@ -304,10 +305,8 @@ def picard_iterate(f0: WaveFunction, tol: float = 1e-8, max_steps: int = 200,
 
 def save_trajectory(result: PicardResult, path) -> None:
     """CSV (step, delta, ratio, omega) for a Picard trajectory."""
-    with open(path, "w") as fh:
-        fh.write(f"# picard-trajectory steps={len(result.states)} "
-                 f"converged={result.converged} depth={result.depth}\n")
-        fh.write("step,delta,ratio,omega\n")
-        for st in result.states:
-            delta = "" if not np.isfinite(st.delta) else repr(st.delta)
-            fh.write(f"{st.step_index},{delta},{st.ratio!r},{st.omega_estimate!r}\n")
+    write_table(path, ["step", "delta", "ratio", "omega"],
+                ((st.step_index, st.delta if np.isfinite(st.delta) else "", st.ratio,
+                  st.omega_estimate) for st in result.states),
+                comment=f"picard-trajectory steps={len(result.states)} "
+                        f"converged={result.converged} depth={result.depth}")

@@ -40,6 +40,8 @@ __all__ = [
 _RESIDUAL_FLOOR = 1e-300
 #: largest RMS log-fit misfit QuadraticFit.gaussian_certified accepts
 LOGFIT_RESIDUAL_TOL = 1e-3
+#: quadratic_log_fit fits log f where |f| >= LOGFIT_FLOOR * max |f|
+LOGFIT_FLOOR = 1e-5
 #: largest adjacent-sample phase jump _unwrap_from accepts without a warning
 _JUMP_TOL = 0.5 * np.pi
 
@@ -212,23 +214,21 @@ def _unwrap_from(idx: int, phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def quadratic_log_fit(f: WaveFunction, floor_ratio: float = 1e-5) -> QuadraticFit:
+def quadratic_log_fit(f: WaveFunction) -> QuadraticFit:
     """Least-squares complex quadratic fit to log f on the window where
-    |f| >= floor_ratio * max |f|.
+    |f| >= LOGFIT_FLOOR * max |f|.
 
     The phase is unwrapped along the grid outward from the magnitude peak.
     The verdict gaussian_certified requires RMS residual at most
     LOGFIT_RESIDUAL_TOL and a strictly contracting quadratic part Re(A) < 0.
     """
-    if not 0.0 < floor_ratio < 1.0:
-        raise ValueError("floor_ratio must lie in (0, 1)")
     if not isinstance(f.grid, UniformGrid):
         raise ValueError("quadratic_log_fit expects a spatial-grid function")
     mag = np.abs(f.values)
     peak = mag.max()
     if peak == 0:
         raise ValueError("cannot fit the zero function")
-    above = mag >= floor_ratio * peak
+    above = mag >= LOGFIT_FLOOR * peak
     peak_idx = int(mag.argmax())
     # contiguous window around the peak; f must be nowhere zero on it
     lo = peak_idx

@@ -11,6 +11,11 @@ carried explicitly; nothing here is unitarily normalized.
 Off the grid there is one spline route, sample_offgrid's per-cell Taylor
 table, and one exact Fourier sum, _fourier_sum, which also continues f to
 complex points.
+
+write_table is the one writer of the lab's text tables (saved functions,
+trajectories, sweeps and every experiment's data files): an optional
+'# ...' line, a header, then cells whose floats are written as repr(float),
+so that float() reads each back exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "save_wavefunction",
     "spectral_tail_fraction",
     "warn_if_aliased",
+    "write_table",
 ]
 
 
@@ -376,24 +382,37 @@ def _fourier_sum(fhat: WaveFunction, z: np.ndarray, live: np.ndarray | None = No
 
 
 # ---------------------------------------------------------------------------
-# serialization: two-column complex CSV with a one-line metadata header
+# serialization: text tables whose float cells read back exactly
 # ---------------------------------------------------------------------------
 
-def save_wavefunction(f: WaveFunction, path) -> None:
-    kind = "space" if isinstance(f.grid, UniformGrid) else "frequency"
-    if kind == "space":
-        meta = f"# wavefunction kind=space n={f.grid.n} dx={f.grid.dx!r} x0={f.grid.x0!r}"
-        col = "x"
-    else:
-        meta = (f"# wavefunction kind=frequency n={f.grid.n} dxi={f.grid.dxi!r} "
-                f"x0_space={f.grid.x0_space!r}")
-        col = "xi"
-    axis = f.axis
+def _cell(c) -> str:
+    """A float (numpy's included) as repr(float), which float() reads back
+    exactly; a complex as repr(complex); any other cell by str."""
+    if isinstance(c, (float, np.floating)):
+        return repr(float(c))
+    return repr(complex(c)) if isinstance(c, complex) else str(c)
+
+
+def write_table(path, header, rows, comment=None, sep=",") -> None:
+    """Text table: an optional '# comment' line, the header, one line per row."""
     with open(path, "w") as fh:
-        fh.write(meta + "\n")
-        fh.write(f"{col},re,im\n")
-        for a, v in zip(axis, f.values):
-            fh.write(f"{float(a)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(sep.join(header) + "\n")
+        fh.writelines(sep.join(map(_cell, row)) + "\n" for row in rows)
+
+
+def save_wavefunction(f: WaveFunction, path) -> None:
+    """Two-column complex CSV whose '# wavefunction' line describes the grid
+    (plain float reprs, so that a grid built from numpy floats reads back)."""
+    g = f.grid
+    if isinstance(g, UniformGrid):
+        col, meta = "x", f"kind=space n={g.n} dx={float(g.dx)!r} x0={float(g.x0)!r}"
+    else:
+        col, meta = "xi", (f"kind=frequency n={g.n} dxi={float(g.dxi)!r} "
+                           f"x0_space={float(g.x0_space)!r}")
+    write_table(path, [col, "re", "im"], zip(f.axis, f.values.real, f.values.imag),
+                comment=f"wavefunction {meta}")
 
 
 def load_wavefunction(path) -> WaveFunction:

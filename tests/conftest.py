@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from strichartz_lab import propagator
+from strichartz_lab.experiments import _random_smooth_profile
 from strichartz_lab.lattice import (
     UniformGrid,
     WaveFunction,
@@ -77,21 +78,9 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def random_band_limited(grid, rng, band=8.0):
-    """Smooth random profile with spectrum inside |xi| <= band."""
-    dual = grid.dual()
-    xi = dual.xi
-    vals = np.zeros(grid.n, dtype=complex)
-    for _ in range(3):
-        amp = rng.standard_normal() + 1j * rng.standard_normal()
-        center = rng.uniform(-band / 2, band / 2)
-        width = rng.uniform(1.0, 2.0)
-        vals += amp * np.exp(-((xi - center) / width) ** 2)
-    from strichartz_lab.lattice import inverse_transform
-
-    f = inverse_transform(WaveFunction(dual, vals))
-    f.values /= lp_norm(f, 2)
-    return f
+#: unit-norm smooth random profile: three complex Gaussian bumps in frequency,
+#: centred in [-4, 4] with widths in [1, 2]
+random_band_limited = _random_smooth_profile
 
 
 def direct_samples(grid, t, ghat):

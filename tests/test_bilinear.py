@@ -195,10 +195,11 @@ def test_separation_sweep_clipping_error():
 
 def test_sweep_csv(tmp_path):
     with pytest.warns(AliasingWarning, match="fills the box"):
-        res = separation_sweep(1.0, [4, 8], profile="flat")
+        res = separation_sweep(np.float64(1.0), [4, 8], profile="flat")
     path = tmp_path / "sweep.csv"
     save_sweep(res, path)
     lines = path.read_text().splitlines()
+    assert lines[0].startswith("# bilinear-sweep s=1.0 ")  # a plain float, not numpy's repr
     assert lines[1] == "N,value,bound,slope_so_far,log10_N,log10_value"
     assert len(lines) == 2 + 2
 

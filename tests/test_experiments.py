@@ -95,7 +95,11 @@ def test_experiment_passes_deterministically(name, reduced_run):
     assert name in REDUCED, f"{name} needs a reduced config in REDUCED"
     base, r1, r2 = reduced_run(name)
     assert r1.all_pass
-    assert all((base / "a" / f).exists() for f in r1.files.values())
+    # [files] names every file of the run, and both runs write each byte for byte alike
+    written = sorted(p.name for p in (base / "a").iterdir())
+    assert written == sorted([*r1.files.values(), "report.txt"])
+    assert all((base / "a" / f).read_bytes() == (base / "b" / f).read_bytes()
+               for f in r1.files.values())
     body_a = strip_meta((base / "a" / "report.txt").read_text())
     body_b = strip_meta((base / "b" / "report.txt").read_text())
     assert body_a == body_b == strip_meta(r2.to_text())

@@ -173,6 +173,7 @@ def test_quadratic_log_fit_translation_equivariance(grid, gaussian):
     assert moved.B == pytest.approx(base.B + 2 * base.A * shift, abs=1e-7)
 
 
-def test_quadratic_log_fit_window_too_small(gaussian):
-    with pytest.raises(ValueError):
-        quadratic_log_fit(gaussian, floor_ratio=0.999)
+def test_quadratic_log_fit_window_too_small(grid):
+    # about 9 samples of e^{-400x^2} lie above LOGFIT_FLOOR of its peak
+    with pytest.raises(ValueError, match="need at least 32"):
+        quadratic_log_fit(make_gaussian(grid, a=400.0))

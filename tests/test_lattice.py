@@ -15,6 +15,7 @@ from strichartz_lab.lattice import (
     make_gaussian,
     sample_offgrid,
     save_wavefunction,
+    write_table,
 )
 
 from conftest import random_band_limited
@@ -234,6 +235,29 @@ def test_wavefunction_csv_round_trip(tmp_path, grid, rng):
     assert isinstance(ghat.grid, FrequencyGrid)
     assert ghat.grid == fhat.grid
     np.testing.assert_array_equal(ghat.values, fhat.values)
+    # a grid built from numpy floats writes a header that reads back
+    g = make_gaussian(UniformGrid.symmetric(64, np.float64(5.0)))
+    for h in (g, forward_transform(g)):
+        save_wavefunction(h, path)
+        assert load_wavefunction(path).grid == h.grid
+
+
+def test_write_table_cells(tmp_path):
+    values = [0.1, 1.0 / 3.0, np.float64(np.pi), np.float64(-2.5e-300), float("nan")]
+    path = tmp_path / "t.csv"
+    write_table(path, ["k", "x", "n"], [(k, v, np.int64(7 * k)) for k, v in enumerate(values)])
+    header, *lines = path.read_text().splitlines()
+    assert header == "k,x,n"
+    cells = [line.split(",") for line in lines]
+    assert [c[0] for c in cells] == ["0", "1", "2", "3", "4"]
+    assert [c[2] for c in cells] == ["0", "7", "14", "21", "28"]
+    # float cells, numpy's included, are plain reprs that read back exactly
+    assert cells[2][1] == repr(np.pi)
+    np.testing.assert_array_equal([float(c[1]) for c in cells], values)
+    path = tmp_path / "t.txt"
+    write_table(path, ["k", "holds"], [(np.int64(2), True), (3, False)],
+                comment="meta a=1", sep=" ")
+    assert path.read_text() == "# meta a=1\nk holds\n2 True\n3 False\n"
 
 
 def test_load_wavefunction_rejects_other_files(tmp_path, grid):

@@ -210,6 +210,14 @@ def test_strichartz_ratio_indicator_below_sharp(grid):
     assert ratio < sharp_ratio_exact - 0.01
 
 
+def test_strichartz_ratio_warns_before_the_sum_aliases(grid):
+    # e^{-60x^2} reads 5.5e-10 off C1 from aliasing alone, with 2.2e-7 of its
+    # tail mass beyond half the band and 1e-19 beyond evolve's 7/8
+    with pytest.warns(AliasingWarning, match="L\\^p sum"):
+        strichartz_ratio(make_gaussian(grid, a=60.0))
+    strichartz_ratio(make_gaussian(grid, a=30.0))  # 2.3e-13 beyond half: no warning
+
+
 def test_strichartz_ratio_upper_bound(grid, rng):
     profiles = [
         make_gaussian(grid),
