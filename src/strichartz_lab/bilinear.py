@@ -34,7 +34,7 @@ from .lattice import (
     lp_norm,
     write_table,
 )
-from .propagator import FlowPlan, TimeQuadrature, default_time_quadrature
+from .propagator import FlowPlan, TimeQuadrature
 
 __all__ = [
     "SweepResult",
@@ -83,15 +83,11 @@ def make_band_limited(grid: UniformGrid, lo: float, hi: float, profile: str = "f
     return f
 
 
-def bilinear_l3(h1: WaveFunction, h2: WaveFunction, tq: TimeQuadrature | None = None,
-                switch: float | None = None) -> float:
-    """L^3 space-time norm of e^{it Delta} h_1 * e^{it Delta} h_2; switch
-    defaults to switch_time([h1, h2])."""
+def bilinear_l3(h1: WaveFunction, h2: WaveFunction, tq: TimeQuadrature | None = None) -> float:
+    """L^3 space-time norm of e^{it Delta} h_1 * e^{it Delta} h_2."""
     if lp_norm(h1, 2) == 0 or lp_norm(h2, 2) == 0:
         return 0.0
-    if tq is None:
-        tq = default_time_quadrature()
-    return float(FlowPlan(h1.grid, tq).integral([h1, h2], switch, power=3.0).real ** (1.0 / 3.0))
+    return float(FlowPlan(h1.grid, tq).integral([h1, h2], power=3.0).real ** (1.0 / 3.0))
 
 
 def hausdorff_young_density(h1: WaveFunction, h2: WaveFunction) -> float:

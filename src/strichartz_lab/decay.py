@@ -54,13 +54,20 @@ class BandDecomposition:
     s: float
 
 
-def band_decompose(f: WaveFunction, s: float) -> BandDecomposition:
-    """Exact indicator cutoffs of fhat at |xi| = s and |xi| = s^2."""
+def _banded_spectrum(f: WaveFunction, s: float) -> WaveFunction:
+    """fhat, once the band thresholds s and s^2 are checked: s > 1, and s^2
+    below the Nyquist frequency."""
     if s <= 1:
         raise ValueError("band threshold requires s > 1")
     fhat = _spectrum(f)
     if s * s >= fhat.grid.nyquist:
         raise ValueError(f"s^2 = {s * s} reaches the Nyquist frequency {fhat.grid.nyquist:.4g}")
+    return fhat
+
+
+def band_decompose(f: WaveFunction, s: float) -> BandDecomposition:
+    """Exact indicator cutoffs of fhat at |xi| = s and |xi| = s^2."""
+    fhat = _banded_spectrum(f, s)
     xi = np.abs(fhat.grid.xi)
     low = np.where(xi < s, fhat.values, 0.0)
     mid = np.where((xi >= s) & (xi <= s * s), fhat.values, 0.0)
@@ -83,13 +90,9 @@ def tail_norm_H(f: WaveFunction, s: float, eps: float) -> float:
     noise, and the unbounded eps = 0 weight would amplify them into
     overflow.
     """
-    if s <= 1:
-        raise ValueError("band threshold requires s > 1")
+    fhat = _banded_spectrum(f, s)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    fhat = _spectrum(f)
-    if s * s >= fhat.grid.nyquist:
-        raise ValueError(f"s^2 = {s * s} reaches the Nyquist frequency {fhat.grid.nyquist:.4g}")
     xi = fhat.grid.xi
     mag = np.abs(fhat.values)
     mask = (np.abs(xi) >= s * s) & (mag >= _NOISE_FLOOR * mag.max())

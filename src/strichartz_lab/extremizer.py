@@ -49,9 +49,7 @@ from .propagator import (
     FlowPlan,
     TimeQuadrature,
     _flow_lp_sum,
-    default_time_quadrature,
     strichartz_ratio,
-    switch_time,
 )
 from .sextic_form import KAPPA
 
@@ -117,8 +115,6 @@ def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None) -> WaveFunct
     """
     if lp_norm(f, 2) == 0:
         raise ValueError("lambda_apply requires a nonzero input")
-    if tq is None:
-        tq = default_time_quadrature()
     return _lambda_with_l6(f, FlowPlan(f.grid, tq))[0]
 
 
@@ -131,22 +127,20 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     """
     # the quintic power spreads the spectrum fivefold
     warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
-    switch = switch_time(f)
-    late = np.abs(plan.tq.nodes) > switch
 
-    def piece(rows, nodes, phases):
+    def piece(rows, nodes, phases, factored):
         (rows,) = rows
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2
         spectra = scipy.fft.fft(quartic * rows, axis=-1, overwrite_x=True)
         # back to t = 0: the Fresnel multiplier on factored rows, the inverse
         # flow on direct ones
-        spectra *= plan.table("fresnel", nodes) if late[nodes.start] else np.conj(phases)
+        spectra *= plan.table("fresnel", nodes) if factored else np.conj(phases)
         return (quartic * power).sum(axis=-1), spectra
 
     direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
     sixth = 0.0
-    for sl, factored, (sums, spectra) in plan.reduce_blocks([f], switch, piece):
+    for sl, factored, (sums, spectra) in plan.reduce_blocks([f], None, piece):
         sixth += plan.measure(sl, factored, 6) @ sums
         if factored:
             fresnel += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ spectra
@@ -265,8 +259,6 @@ def picard_iterate(f0: WaveFunction, tol: float = 1e-8, max_steps: int = 200,
         raise ValueError("tol must be positive")
     if lp_norm(f0, 2) == 0:
         raise ValueError("picard_iterate requires a nonzero start")
-    if tq is None:
-        tq = default_time_quadrature()
 
     # one plan serves every Lambda step and the last observation; each
     # Lambda step also yields the L^6 norm of the iterate it evolves

@@ -27,16 +27,20 @@ edge, so that the factored gauge never resolves, it raises.
 Every evaluation of the flow goes through one block engine, FlowPlan.  It
 evolves its inputs over runs of nodes in one gauge, in blocks of at most
 BLOCK_ENTRIES complex entries (1 MiB), and every space-time functional here
-is a reduction over those blocks (FlowPlan.reduce_blocks).  Its phase tables
-(the multiplier e^{it xi^2}, the chirp e^{-ix^2/4t} and the Fresnel
+is a reduction over those blocks (FlowPlan.reduce_blocks).  The plan alone
+makes the engine's choices: a plan made without a time rule takes
+default_time_quadrature(), and reduce_blocks takes the inputs' switch_time
+when given no switch, so the functionals pass both on untouched.  Its phase
+tables (the multiplier e^{it xi^2}, the chirp e^{-ix^2/4t} and the Fresnel
 multiplier of Lambda) are kept when one nodes x n table fits in TABLE_BYTES,
 and are computed per block otherwise.
 
 The blocks run on one thread per CPU the process may run on (os.cpu_count()
 where the platform has no affinity call): the calling thread and a pool of
 one worker fewer, made on first use (none on one CPU, where everything runs
-inline).  Each block is split into one contiguous
-piece of rows per thread.  A piece computes its own phase rows, evolves
+inline).  _Pieces splits each block into one contiguous piece of rows per
+thread and sizes each piece's buffers; sextic_form's constraint-set rounds
+are split by the same helper.  A piece computes its own phase rows, evolves
 every input at those rows and at their mirror rows, and reduces them to
 per-row results such as row sums; the calling thread joins the pieces in
 node order and applies the quadrature weights once per block, as one thread
@@ -310,24 +314,39 @@ def _run(fn, pieces: list) -> list:
         wait(futures)
 
 
-def _split(sl: slice, pieces: int) -> list[slice]:
-    """sl in at most pieces contiguous pieces, each of at least one row; no
-    piece is longer than ceil(rows / pieces)."""
-    rows = sl.stop - sl.start
-    k = min(pieces, rows)
-    edges = [sl.start + i * rows // k for i in range(k + 1)]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+class _Pieces:
+    """One contiguous piece of rows per pool thread, each with its own
+    buffers, for row ranges of at most width rows.  make(rows) builds the
+    buffers of a piece of that many rows; it is called here, on the calling
+    thread, once per piece and for the longest piece of any range (a shorter
+    range can have a longer piece than the same piece of the widest one)."""
+
+    def __init__(self, width: int, make):
+        self.count = min(_pool()[0], width)
+        self.buffers = [make(-(-width // self.count)) for _ in range(self.count)]
+
+    def run(self, fn, sl: slice) -> list:
+        """[fn(piece, buffers)] over the pieces of sl in order, through _run:
+        at most count pieces, each of at least one row and none longer than
+        ceil(rows / count)."""
+        rows = sl.stop - sl.start
+        k = min(self.count, rows)
+        edges = [sl.start + i * rows // k for i in range(k + 1)]
+        return _run(lambda task: fn(*task),
+                    list(zip(map(slice, edges[:-1], edges[1:]), self.buffers)))
 
 
 class FlowPlan:
     """The flow on one grid over one time rule, evaluated in row blocks; it
     holds no input, so one plan serves every call on its grid and rule, from
-    any number of threads."""
+    any number of threads.  tq None is default_time_quadrature(): the one
+    place the default rule is built, so every functional passes its tq on."""
 
-    def __init__(self, grid: UniformGrid, tq: TimeQuadrature):
+    def __init__(self, grid: UniformGrid, tq: TimeQuadrature | None = None):
         if not isinstance(grid, UniformGrid):
             raise GridMismatchError("a flow plan needs a spatial grid")
-        self.grid, self.tq = grid, tq
+        self.grid = grid
+        self.tq = tq = default_time_quadrature() if tq is None else tq
         dual = grid.dual()
         self.block_rows = max(1, BLOCK_ENTRIES // grid.n)
         m = len(tq.nodes)
@@ -411,15 +430,14 @@ class FlowPlan:
         z[:, h:] = z[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
         return z
 
-    def _piece(self, factored: bool, inputs: dict, fields, fn, task):
+    def _piece(self, factored: bool, inputs: dict, fields, fn, sl: slice, buffers):
         """fn's results on the rows of a piece's mirror (None when it has none)
-        and of the piece.  task is (rows sl, (row buffer, phase buffer)): the
-        rows of every input go through one transform in the row buffer.  A
-        kept plan reads its phase rows through table; an unkept plan computes
-        them in the phase buffer, conjugates them in place for the mirror and
-        back for sl, which is exact, so the two cost one array of
-        exponentials."""
-        sl, (row_buf, phase_buf) = task
+        and of the piece sl.  buffers are (row buffer, phase buffer): the rows
+        of every input go through one transform in the row buffer.  A kept
+        plan reads its phase rows through table; an unkept plan computes them
+        in the phase buffer, conjugates them in place for the mirror and back
+        for sl, which is exact, so the two cost one array of exponentials."""
+        row_buf, phase_buf = buffers
         n = self.grid.n
         kind, transform = ("chirp", scipy.fft.fft) if factored else ("flow", scipy.fft.ifft)
 
@@ -432,7 +450,7 @@ class FlowPlan:
             if factored:
                 buf *= self.phase
             rows = dict(zip(inputs, buf))
-            return fn([rows[id(f)] for f in fields], rsl, phases)
+            return fn([rows[id(f)] for f in fields], rsl, phases, factored)
 
         mirror = self._mirror(sl)
         count = mirror.stop - mirror.start
@@ -446,57 +464,58 @@ class FlowPlan:
             np.conj(phases, out=phases)
         return mirrored, apply(sl, phases)
 
-    def reduce_blocks(self, fields, switch: float, fn):
+    def reduce_blocks(self, fields, switch: float | None, fn):
         """Evolve fields over runs of at most block_rows nodes in one gauge
-        (factored when |t| > switch) and reduce each block's rows with fn.
-        Yields (nodes, factored, out), out[i] the i-th array fn returns, joined
-        along rows over the block's pieces.
+        (factored when |t| > switch; switch None takes the inputs'
+        switch_time, the one place the crossover is chosen) and reduce each
+        block's rows with fn.  Yields (nodes, factored, out), out[i] the i-th
+        array fn returns, joined along rows over the block's pieces.
 
-        fn(rows, nodes, phases) gets rows[i], the rows of fields[i] at a run of
-        nodes: samples u(x_j, t_k) in the direct gauge, ghat_{t_k} on the
-        centred dual grid in the factored gauge; an input passed in several
-        slots is evolved once.  phases are the rows that made them: the flow
-        multiplier e^{it xi^2}, or the chirp of the factored gauge.  fn returns
-        arrays whose first axis runs over the rows.  It may run on any thread
-        of the pool, and reads any other phase rows through table.
+        fn(rows, nodes, phases, factored) gets rows[i], the rows of fields[i]
+        at a run of nodes: samples u(x_j, t_k) in the direct gauge, ghat_{t_k}
+        on the centred dual grid in the factored gauge, as factored says; an
+        input passed in several slots is evolved once.  phases are the rows
+        that made them: the flow multiplier e^{it xi^2}, or the chirp of the
+        factored gauge.  fn returns arrays whose first axis runs over the
+        rows.  It may run on any thread of the pool, and reads any other
+        phase rows through table.
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each
-        block is split into one piece per thread (with its mirror rows), and
-        the next block starts only once all pieces of this one are joined.
+        block is split into one piece per thread (with its mirror rows) by
+        _Pieces, whose buffers every block reuses, and the next block starts
+        only once all pieces of this one are joined.
         """
         if any(f.grid != self.grid for f in fields):
             raise GridMismatchError("all inputs must share the plan's grid")
+        if switch is None:
+            switch = switch_time(fields)
         distinct = {id(f): f.values for f in fields}
         spectra = {key: scipy.fft.fft(v) for key, v in distinct.items()}
         m = len(self.tq.nodes)
         first = m // 2 if self._symmetric else 0
         factored = np.abs(self.tq.nodes) > switch
         runs = [first, *(np.flatnonzero(np.diff(factored[first:])) + 1 + first).tolist(), m]
-        # one row buffer and phase buffer per piece, reused by every block and
-        # sized for the largest piece of any block (a shorter block can have a
-        # larger piece than the widest one); made here, on the calling thread,
+        # a row buffer and a phase buffer per piece, made on the calling thread
         # so that the engine allocates none on the workers (what fn allocates
         # there is its own)
-        n, width = self.grid.n, min(self.block_rows, m - first)
-        pieces = min(_pool()[0], width)
-        most = -(-width // pieces)
-        work = [(np.empty(len(distinct) * most * n, dtype=complex),
-                 None if self._keep else np.empty(most * n, dtype=complex))
-                for _ in range(pieces)]
+        n = self.grid.n
+        pieces = _Pieces(min(self.block_rows, m - first), lambda rows: (
+            np.empty(len(distinct) * rows * n, dtype=complex),
+            None if self._keep else np.empty(rows * n, dtype=complex)))
         for a, b in zip(runs[:-1], runs[1:]):
             fac = bool(factored[a])
             piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn)
             for start in range(a, b, self.block_rows):
                 sl = slice(start, min(start + self.block_rows, b))
-                parts = _run(piece, list(zip(_split(sl, pieces), work)))
+                parts = pieces.run(piece, sl)
                 mirror = self._mirror(sl)
                 if mirror.stop > mirror.start:
                     yield mirror, fac, _join([p for p, _ in reversed(parts) if p is not None])
                 yield sl, fac, _join([p for _, p in parts])
                 del parts  # free this block before the next is built
 
-    def blocks(self, fields, switch: float):
+    def blocks(self, fields, switch: float | None):
         """(nodes, factored, rows) for every block of reduce_blocks, rows[i] the rows
         of fields[i] at those nodes."""
         return self.reduce_blocks(fields, switch, lambda rows, *_: [r.copy() for r in rows])
@@ -514,9 +533,7 @@ class FlowPlan:
     def integral(self, fields, switch: float | None = None, conj_count: int = 0,
                  power: float | None = None) -> complex:
         """sum_k w_k int conj(u_1 .. u_c) u_{c+1} .. u_m dx, or sum_k w_k int |u_1 .. u_m|^power
-        dx when power is given; switch defaults to the inputs' switch_time."""
-        if switch is None:
-            switch = switch_time(fields)
+        dx when power is given; switch as in reduce_blocks."""
         degree = len(fields) * (1.0 if power is None else power)
 
         def row_sums(rows, *_):
@@ -571,8 +588,6 @@ def strichartz_ratio(f: WaveFunction, tq: TimeQuadrature | None = None) -> float
     l2 = lp_norm(f, 2)
     if l2 == 0:
         raise ValueError("strichartz_ratio requires a nonzero input")
-    if tq is None:
-        tq = default_time_quadrature()
     return _flow_lp_sum(f, FlowPlan(f.grid, tq), 6) ** (1.0 / 6.0) / l2
 
 
@@ -604,8 +619,6 @@ def fourier_symmetry_check(f: WaveFunction, tq: TimeQuadrature | None = None) ->
     C = ||e^{it Delta} f||_6 / ||e^{it Delta} f^vee||_6, which is observed to
     be constant (= sqrt(2 pi) under these conventions) across inputs.
     """
-    if tq is None:
-        tq = default_time_quadrature()
     finv = _inverse_fourier_profile(f)
     ratio_f = strichartz_ratio(f, tq)
     ratio_finv = strichartz_ratio(finv, tq)

@@ -43,14 +43,15 @@ independent evaluation routes cross-validate each other:
   The circle integrals run on the flow engine's threads.  The calling thread
   builds the tables, the outer rules and one index array of all
   representatives, takes it in rounds of at most BLOCK_ENTRIES circle points
-  (whole triples), and splits each round into one contiguous piece per
-  thread.  A piece evaluates its circle points in slab arrays that the
-  calling thread allocates once per call, one set per piece, and that every
-  round reuses; it writes one contribution per triple.  The calling thread
-  sums the contributions of each round as one contiguous array, and adds
-  those sums in round order.  All other arithmetic is elementwise, so
-  q_quadrature and m_weighted depend on the round size BLOCK_ENTRIES //
-  n_phi, but are the same bit for bit on any number of CPUs.
+  (whole triples), and runs each round through the engine's piece helper
+  (propagator._Pieces), one contiguous piece per thread.  A piece evaluates
+  its circle points in slab arrays that the helper has the calling thread
+  allocate once per call, one set per piece, and that every round reuses; it
+  writes one contribution per triple.  The calling thread sums the
+  contributions of each round as one contiguous array, and adds those sums
+  in round order.  All other arithmetic is elementwise, so q_quadrature and
+  m_weighted depend on the round size BLOCK_ENTRIES // n_phi, but are the
+  same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -70,16 +71,7 @@ from .lattice import (
     _spline_table,
     warn_if_aliased,
 )
-from .propagator import (
-    BLOCK_ENTRIES,
-    FlowPlan,
-    TimeQuadrature,
-    _legendre,
-    _pool,
-    _run,
-    _split,
-    default_time_quadrature,
-)
+from .propagator import BLOCK_ENTRIES, FlowPlan, TimeQuadrature, _legendre, _Pieces
 
 __all__ = [
     "KAPPA",
@@ -145,8 +137,6 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
     Conjugate-linear in slots 1-3, linear in slots 4-6; real and nonnegative
     when all six slots carry the same function.
     """
-    if tq is None:
-        tq = default_time_quadrature()
     for f in (f1, f2, f3, f4, f5, f6):
         # sextic pointwise products spread the spectrum sixfold
         if warn_if_aliased(f, band_fraction=1.0 / 6.0, context="q_spacetime"):
@@ -237,11 +227,11 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     and so is reps, the (3, count) index array of the representatives in C
     order of (i, j, k), at 24 B per representative (2.7 MB for the 48^3
     unshared triples of one panel per axis).  Each round is the view of the
-    next BLOCK_ENTRIES // n_phi columns of reps, and propagator._run runs it
-    as one contiguous piece per pool thread.
-    A piece evaluates its circle points in its own slab, allocated once per
-    call and reused by every round through out=, and writes one contribution
-    per triple to the per-call array sums.  Each round's contributions are
+    next BLOCK_ENTRIES // n_phi columns of reps, which propagator._Pieces
+    runs as one contiguous piece per pool thread.  A piece evaluates its
+    circle points in its own slab, allocated once per call and reused by
+    every round through out=, and writes one contribution per triple to the
+    per-call array sums.  Each round's contributions are
     summed as one contiguous array, in round order.  So the value depends on
     the round size, not on the pieces, and is the same bit for bit on any
     number of CPUs.
@@ -277,11 +267,8 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
             keep &= ix[a] <= ix[b]
     reps = np.stack(np.nonzero(keep))
 
-    # triples per round, and the per-call buffers: a round's contributions,
-    # and one slab per piece, sized for the largest piece
+    # triples per round, a round's contributions, and each piece's slab
     rows = max(1, min(BLOCK_ENTRIES // n_phi, reps.shape[1]))
-    pieces = min(_pool()[0], rows)
-    points = -(-rows // pieces) * n_phi
     value = float if absolute else complex
     slab = {"xi4": float, "p": float, "q": float, "gap": float,
             "c4": np.intp, "cp": np.intp, "cq": np.intp,
@@ -290,13 +277,12 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
         slab["c"] = value
     if absolute:
         slab.update(factor=float, wx=float, z=complex)
-    slabs = [{name: np.empty(points, dtype) for name, dtype in slab.items()}
-             for _ in range(pieces)]
+    pieces = _Pieces(rows, lambda count: {name: np.empty(count * n_phi, dtype)
+                                          for name, dtype in slab.items()})
     sums = np.empty(rows, dtype=value)
 
-    def piece(task):
+    def piece(idx, out, bufs):
         """The contributions of the (3, count) triples idx, to out."""
-        idx, out, bufs = task
         count = idx.shape[1]
 
         def buf(name):
@@ -356,8 +342,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     for start in range(0, reps.shape[1], rows):
         batch = reps[:, start:start + rows]
         count = batch.shape[1]
-        _run(piece, [(batch[:, sl], sums[sl], bufs)
-                     for sl, bufs in zip(_split(slice(0, count), pieces), slabs)])
+        pieces.run(lambda sl, bufs: piece(batch[:, sl], sums[sl], bufs), slice(0, count))
         total += sums[:count].sum()
     return complex(total)
 
@@ -399,8 +384,6 @@ def calibrate_kappa(inputs: list[WaveFunction], tq: TimeQuadrature | None = None
     of the ratios from their mean.  The ratios must agree with each other
     (and with (2 pi)^4) for the normalization to be considered calibrated.
     """
-    if tq is None:
-        tq = default_time_quadrature()
     ratios = []
     for f in inputs:
         spacetime_raw = FlowPlan(f.grid, tq).integral([f] * 6, conj_count=3)

@@ -19,6 +19,7 @@ from strichartz_lab.lattice import (
     make_gaussian,
 )
 from strichartz_lab.propagator import (
+    FlowPlan,
     TimeQuadrature,
     _gauge_crossover,
     default_time_quadrature,
@@ -39,6 +40,11 @@ SWEEP_TOUCHING_VALUES = tuple(map(float.fromhex, (
 SWEEP_TOUCHING_BOUNDS = tuple(map(float.fromhex, (
     "0x1.f149e3ecb2750p-2", "0x1.b8ffdb62de05cp-2")))
 SWEEP_TOUCHING_SLOPE = float.fromhex("-0x1.d4c96a35b5c69p-3")
+
+
+def _l3_switched(h1, h2, tq, switch):
+    """bilinear_l3(h1, h2, tq) with the gauge crossover at switch."""
+    return FlowPlan(h1.grid, tq).integral([h1, h2], switch, power=3.0).real ** (1.0 / 3.0)
 
 
 def test_make_band_limited_band_errors(grid):
@@ -116,11 +122,11 @@ def test_bilinear_galilean_invariance():
     h1 = profile(0.0, 0.4)
     h2 = profile(12.0, 1.5)
     tq = pair_time_quadrature(8, 1.0)
-    base = bilinear_l3(h1, h2, tq, switch=0.2)
+    base = _l3_switched(h1, h2, tq, 0.2)
     b = 1.0
     m1 = WaveFunction(g, np.exp(1j * b * g.x) * h1.values)
     m2 = WaveFunction(g, np.exp(1j * b * g.x) * h2.values)
-    moved = bilinear_l3(m1, m2, tq, switch=0.2)
+    moved = _l3_switched(m1, m2, tq, 0.2)
     assert moved == pytest.approx(base, rel=1e-6)
 
 
@@ -221,7 +227,7 @@ def test_box_filling_pair_switches_past_factored_bound():
     tq = TimeQuadrature.compactified(65, rate=16.0)
     with pytest.warns(AliasingWarning, match="fills the box"):
         value = bilinear_l3(h1, h2, tq)
-    assert value == bilinear_l3(h1, h2, tq, switch=1.2 * t_fact)
+    assert value == _l3_switched(h1, h2, tq, 1.2 * t_fact)
 
 
 def test_box_filling_warning_names_the_caller():

@@ -16,18 +16,26 @@ summed the circle integral once per symmetric orbit of outer nodes; like
 TAIL_CHAIN_M_GAUSSIAN they are guarded at 1e-13 relative.  The Hermite
 functions psi_k are exact Euler-Lagrange solutions; their guards, and those of
 the ratio-deficit quotients at psi_0 + eps psi_k, sit at 100x what the default
-grid and time rule reached at commit 26cfccf.
+grid and time rule reached at commit 26cfccf, and those of their analytic
+extension at 100x what the default grid reached at commit fec01ff.
 """
 
+import contextlib
 import math
 
 import numpy as np
+import pytest
 from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import legval
 
+from strichartz_lab.decay import analytic_extension_probe
 from strichartz_lab.experiments import _random_smooth_profile
 from strichartz_lab.extremizer import lambda_apply, picard_iterate
-from strichartz_lab.functional_equation import quadratic_log_fit, residual_statistic
+from strichartz_lab.functional_equation import (
+    PhaseUnwrapWarning,
+    quadratic_log_fit,
+    residual_statistic,
+)
 from strichartz_lab.lattice import WaveFunction, lp_norm, make_gaussian
 from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
 from strichartz_lab.sextic_form import KAPPA, _axis_rule, _hat_spline, q_quadrature, q_spacetime
@@ -141,10 +149,21 @@ HERMITE_OMEGAS = (449.9133, 249.9518, 183.2980, 148.4625, 126.5493)
 DEFICIT_BOUNDS = {1: 1.5e-9, 2: 2.0e-4, 3: 5.6e-6, 4: 3.2e-5, 6: 1.07e-4}
 
 
+#: observed 1.56e-11 (k = 0; |analytic_extension_probe(psi_k) - psi_k| at the
+#: four points of test_hermite_analytic_extension, relative to max |psi_k(z)|)
+HERMITE_EXTENSION_BOUND = 1.6e-9
+#: observed 4.43e-8 (the probe's Cauchy-Riemann residual, k = 6)
+HERMITE_CR_BOUND = 4.5e-6
+
+
+def _hermite_at(z, k):
+    """H_k(sqrt 2 z) e^{-z^2}, at real or complex z."""
+    return hermval(np.sqrt(2.0) * z, [0] * k + [1]) * np.exp(-z ** 2)
+
+
 def _hermite(grid, k):
     """psi_k = H_k(sqrt 2 x) e^{-x^2} at unit L^2 norm."""
-    values = hermval(np.sqrt(2.0) * grid.x, [0] * k + [1]) * np.exp(-grid.x ** 2)
-    f = WaveFunction(grid, values.astype(complex))
+    f = WaveFunction(grid, _hermite_at(grid.x, k).astype(complex))
     f.values /= lp_norm(f, 2)
     return f
 
@@ -180,3 +199,22 @@ def test_ratio_deficit_quotients_match_the_hermite_spectrum(grid):
         q = (sharp_ratio_exact - strichartz_ratio(f)) / (sharp_ratio_exact * eps ** 2)
         mu = (3.0 * (1j / math.sqrt(3.0)) ** k * legval(-1j / math.sqrt(3.0), [0] * k + [1])).real
         assert abs(q - (1.0 - mu) / 2.0) <= bound, k
+
+
+def test_hermite_analytic_extension(grid):
+    # the paper's chain beyond the Gaussian: each psi_k continues to the
+    # entire c_k H_k(sqrt 2 z) e^{-z^2}, which the log-quadratic certifier
+    # must not take for a Gaussian
+    zs = np.array([0.5j, 0.3 + 0.4j, -0.7 + 0.2j, 1j])
+    for k in range(7):
+        psi = _hermite(grid, k)
+        c = 1.0 / lp_norm(WaveFunction(grid, _hermite_at(grid.x, k).astype(complex)), 2)
+        exact = c * _hermite_at(zs, k)
+        values, cr = analytic_extension_probe(psi, zs)
+        assert np.abs(values - exact).max() <= HERMITE_EXTENSION_BOUND * np.abs(exact).max(), k
+        assert cr.max() <= HERMITE_CR_BOUND, k
+    for k in range(1, 5):
+        # the fit window of psi_k, k >= 2, spans a sign change: a phase jump of pi
+        with pytest.warns(PhaseUnwrapWarning) if k >= 2 else contextlib.nullcontext():
+            fit = quadratic_log_fit(_hermite(grid, k))
+        assert not fit.gaussian_certified, k

@@ -123,7 +123,7 @@ def _plan_rows(f, tq, switch):
     return rows, factored
 
 
-def test_evolve_range_single_node(gaussian):
+def test_blocks_single_node(gaussian):
     tq = TimeQuadrature.single(0.0)
     rows, _ = _plan_rows(gaussian, tq, np.inf)
     np.testing.assert_allclose(rows[0], gaussian.values, atol=1e-14)
@@ -131,7 +131,7 @@ def test_evolve_range_single_node(gaussian):
     assert l6 == pytest.approx(lp_norm(gaussian, 6), rel=1e-12)
 
 
-def test_evolve_range_gaussian_rows(grid, gaussian):
+def test_blocks_gaussian_rows(grid, gaussian):
     z, w = _legendre(33)
     tq = TimeQuadrature(nodes=0.4 * z, weights=0.4 * w)  # below the wrap horizon
     rows, factored = _plan_rows(gaussian, tq, np.inf)
@@ -142,7 +142,7 @@ def test_evolve_range_gaussian_rows(grid, gaussian):
             lp_norm(gaussian, 2) ** 2, rel=1e-12)
 
 
-def test_evolve_range_ragged_blocks():
+def test_blocks_ragged_last_block():
     # 4 rows per block at n = 16384, so 9 nodes leave a one-row block in
     # the direct run; its direct rows must match evolve node by node.  The
     # match with one-node plans is checked by
@@ -400,8 +400,12 @@ def test_functionals_match_weighted_one_node_sums(grid):
     assert abs(q - _one_node_sum(lambda one: q_spacetime(*fields, one), tq)) <= 1e-15 * abs(q)
 
     switch = switch_time([f, g])
-    cube = _one_node_sum(lambda one: bilinear_l3(f, g, one, switch) ** 3, tq)
-    assert bilinear_l3(f, g, tq, switch) == pytest.approx(cube ** (1 / 3), rel=1e-15, abs=0)
+
+    def l3(rule):
+        return FlowPlan(grid, rule).integral([f, g], switch, power=3.0).real ** (1 / 3)
+
+    cube = _one_node_sum(lambda one: l3(one) ** 3, tq)
+    assert l3(tq) == pytest.approx(cube ** (1 / 3), rel=1e-15, abs=0)
 
     lam = lambda_apply(f, tq).values
     lam_sum = _one_node_sum(lambda one: lambda_apply(f, one).values, tq)
@@ -429,6 +433,41 @@ def test_only_propagator_builds_legendre_rules():
             if builders.intersection(names):
                 users.add(path.name)
     assert users == {"propagator.py"}
+
+
+def test_flow_plan_alone_picks_the_rule_the_crossover_and_the_pieces():
+    # every call of the default rule and of the crossover, by the module
+    # function or method that makes it, and every name of the pool imported
+    # from propagator
+    import ast
+    import inspect
+    import pathlib
+
+    import strichartz_lab
+
+    calls, pool_imports, compares = set(), set(), set()
+    for path in pathlib.Path(strichartz_lab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                owner = fn.name if fn is top else f"{top.name}.{fn.name}"
+                calls.update((node.func.id, path.name, owner) for node in ast.walk(fn)
+                             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id in ("default_time_quadrature", "switch_time"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "propagator":
+                pool_imports.update((path.name, alias.name) for alias in node.names
+                                    if alias.name in ("_pool", "_run", "_split"))
+            if path.name == "extremizer.py" and isinstance(node, ast.Compare):
+                compares.add(ast.unparse(node))
+    assert calls == {("default_time_quadrature", "propagator.py", "FlowPlan.__init__"),
+                     ("switch_time", "propagator.py", "FlowPlan.reduce_blocks")}
+    assert pool_imports == set()
+    # extremizer compares no time node with a crossover of its own
+    assert not any("nodes" in c or "switch" in c for c in compares), compares
+    assert "switch" not in inspect.signature(bilinear_l3).parameters
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ inside the aliasing band; hypothesis draws their seeds.  Examples are
 derandomized, so every run checks the same inputs.  Differences of Q are
 taken relative to the sharp bound KAPPA 12^{-1/2} prod ||f_i||_2 on |Q|, as
 in test_precision_guards, and differences of functions as L^2 norms relative
-to ||f||_2.  Each bound sits at 100x the largest difference observed, over
-420 seeds for the conjugate symmetries and over 300 for the others.
+to ||f||_2, and differences of the Strichartz ratio absolutely.  Each bound
+sits at 100x the largest difference observed, over 420 seeds for the
+conjugate symmetries, over 640 for the ratio's symmetry group and over 300
+for the others.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from strichartz_lab.extremizer import gauge_fix, lambda_apply
+from strichartz_lab.extremizer import _resample_scaled, gauge_fix, lambda_apply
 from strichartz_lab.lattice import (
     UniformGrid,
     WaveFunction,
@@ -23,6 +25,7 @@ from strichartz_lab.lattice import (
     inverse_transform,
     lp_norm,
 )
+from strichartz_lab.propagator import evolve, strichartz_ratio
 from strichartz_lab.sextic_form import KAPPA, q_quadrature, q_spacetime
 
 from conftest import random_band_limited
@@ -47,6 +50,14 @@ MULTILINEAR_BOUND = 7.2e-15
 GAUGE_IDEMPOTENCE_BOUND = 1.0e-12
 #: observed 4.39e-16
 ROUND_TRIP_BOUND = 4.4e-14
+#: largest |R(moved f) - R(f)| over 640 drawn seeds and moves, and at the
+#: range ends over 320 more: parabolic scaling 4.11e-15 (at lam = 0.8);
+#: time translation 3.69e-8 (at t0 = -0.5, one seed in 320; median 1.1e-16),
+#: which the same seed reads as 2.2e-16 on a box twice as wide, so it is the
+#: default box's error on the widened profile, not a broken symmetry;
+#: modulation, grid shift and global phase 3.33e-16
+RATIO_SYMMETRY_BOUNDS = {"scaling": 4.2e-13, "time": 3.7e-6, "modulation": 3.4e-14,
+                         "shift": 3.4e-14, "phase": 3.4e-14}
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -131,3 +142,20 @@ def test_gauge_fix_idempotent(seed):
 def test_transform_round_trip(seed):
     (f,) = _profiles(seed, 1)
     assert _relative_l2(inverse_transform(forward_transform(f)), f) <= ROUND_TRIP_BOUND
+
+
+@_examples(15)  # six ratios and one O(n^2) resample per example, about 0.1 s
+@hypothesis.given(seed=seeds, lam=st.floats(0.8, 1.25), t0=st.floats(-0.5, 0.5),
+                  b=st.floats(-3.0, 3.0), shift=st.integers(-64, 64),
+                  phase=st.floats(0.0, 2.0 * math.pi))
+def test_strichartz_ratio_symmetry_group(seed, lam, t0, b, shift, phase):
+    """R(f) is unchanged by sqrt(lam) f(lam x), e^{it0 Delta} f, e^{ibx} f,
+    a shift by whole cells and e^{i phase} f."""
+    (f,) = _profiles(seed, 1)
+    moved = {"scaling": _resample_scaled(f, lam), "time": evolve(f, t0).values,
+             "modulation": np.exp(1j * b * GRID.x) * f.values,
+             "shift": np.roll(f.values, shift), "phase": np.exp(1j * phase) * f.values}
+    base = strichartz_ratio(f)
+    for name, values in moved.items():
+        diff = abs(strichartz_ratio(WaveFunction(GRID, values)) - base)
+        assert diff <= RATIO_SYMMETRY_BOUNDS[name], name

@@ -1,0 +1,106 @@
+"""Exact fingerprints of the lab's headline values, one per line.
+
+    python3 tools/fingerprint.py > new.txt
+    python3 tools/fingerprint.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+Each line is a label and either the float.hex of a value (a complex value
+gives its real and imaginary parts) or the SHA-256 of an array's bytes, so a
+claim that a change keeps every value bit for bit is the empty diff of two
+runs.  Inputs come from the package and from ``perfbench/workloads.py`` of
+this checkout:
+
+* ``picard_iterate`` from ``picard_start`` seeds 1-3 on the default grid:
+  the final state, its ratio and the number of states;
+* ``strichartz_ratio``, ``lambda_apply``, ``omega_of`` and
+  ``fourier_symmetry_check`` of (1 + 0.3x) e^{-x^2 + 0.5ix};
+* ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
+  on the ``smooth_profile`` sextuple of ``default_rng(4)``;
+* ``calibrate_kappa`` on the Gaussian and the profile above;
+* ``separation_sweep(1, [4, 8], "random", 3)``: values and bounds.
+
+The package is imported from --src (default: ``src/`` of this checkout),
+with one BLAS thread, set before numpy loads.  Takes about 2 s on 2 CPUs.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--src", type=Path, default=ROOT / "src",
+                   help="directory holding the strichartz_lab package to fingerprint")
+    return p.parse_args(argv)
+
+
+def show(label: str, value) -> None:
+    """One line: float.hex of a real or complex number, SHA-256 of anything
+    with tobytes (an array or a WaveFunction's values), or str otherwise."""
+    if isinstance(value, complex):
+        text = f"{value.real.hex()} {value.imag.hex()}"
+    elif isinstance(value, float):
+        text = value.hex()
+    elif hasattr(value, "tobytes"):
+        text = hashlib.sha256(value.tobytes()).hexdigest()
+    else:
+        text = str(value)
+    print(f"{label} {text}")
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    import numpy as np
+
+    import strichartz_lab
+    from strichartz_lab import bilinear, extremizer, lattice, propagator, sextic_form
+    from workloads import picard_start, smooth_profile
+
+    origin = Path(strichartz_lab.__file__).resolve().parent.parent
+    if origin != args.src.resolve():
+        sys.exit(f"strichartz_lab was imported from {origin}, not from {args.src}")
+    # the random sweep pairs fill their box, which warns on every call
+    warnings.simplefilter("ignore", lattice.AliasingWarning)
+
+    grid = propagator.default_grid()
+    for seed in (1, 2, 3):
+        result = extremizer.picard_iterate(picard_start(grid, np.random.default_rng(seed)))
+        show(f"picard[{seed}].states", len(result.states))
+        show(f"picard[{seed}].ratio", result.final.ratio)
+        show(f"picard[{seed}].f", result.final.f.values)
+
+    x = grid.x
+    f = lattice.WaveFunction(grid, (1 + 0.3 * x) * np.exp(-x ** 2 + 0.5j * x))
+    show("ratio", propagator.strichartz_ratio(f))
+    show("lambda", extremizer.lambda_apply(f).values)
+    show("omega", extremizer.omega_of(f))
+    sym = propagator.fourier_symmetry_check(f)
+    show("fourier_symmetry", f"{sym.ratio_f.hex()} {sym.ratio_finv.hex()} {sym.fitted_c.hex()}")
+
+    gauss = lattice.make_gaussian(grid)
+    rng = np.random.default_rng(4)
+    sextuple = [smooth_profile(grid, rng) for _ in range(6)]
+    for name, fields in (("gaussian", [gauss] * 6), ("random", sextuple)):
+        show(f"q_spacetime[{name}]", sextic_form.q_spacetime(*fields))
+        show(f"q_quadrature[{name}]", sextic_form.q_quadrature(*fields, 48, 48))
+    ratios, spread = sextic_form.calibrate_kappa([gauss, f])
+    show("kappa.ratios", ratios)
+    show("kappa.spread", spread)
+
+    sweep = bilinear.separation_sweep(1, [4, 8], "random", 3)
+    show("sweep.values", np.array(sweep.values))
+    show("sweep.bounds", np.array(sweep.bounds))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
