@@ -388,6 +388,8 @@ def _run_q_crosscheck(config: ExperimentConfig, report: ExperimentReport) -> Non
     tq = _tq_from(config)
     seed = config.get_int("seed")
     n_random = config.get_int("crosscheck.n_random_sextuples")
+    if n_random < 1:  # zero sextuples would pass random_oracle_agreement unchecked
+        raise ValueError(f"crosscheck.n_random_sextuples must be at least 1, got {n_random}")
 
     calib = [
         lt.make_gaussian(grid),

@@ -19,13 +19,8 @@ residual differences (Anderson mixing) and stops on a geometric-tail
 estimate of the distance to the fixed point rather than on the last step's
 size.
 
-Far time nodes use the same chirp factorization as the propagator: with
-ghat_t the factored profile and h = |ghat_t|^4 ghat_t,
-
-    e^{-it xi^2} F[ |u|^4 u ](xi) = (4 pi t)^{-2} [ e^{i (1/4t) Delta} h ](xi)
-
-where the flow on the right acts on the frequency axis (a Fresnel step of
-duration 1/4t, small exactly when |t| is large).
+Lambda takes each row of |u|^4 u back to t = 0 through the adjoint of the
+gauge step that made it (_lambda_with_l6), on the input's own box.
 """
 
 from __future__ import annotations
@@ -121,33 +116,43 @@ def lambda_apply(f: WaveFunction, tq: TimeQuadrature | None = None) -> WaveFunct
 def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, float]:
     """Lambda f, and sum_k w_k int |u(., t_k)|^6 dx from the same rows.
 
-    The Fresnel step of the factored rows is linear, so their spectra are
-    summed first and transformed back once.  Each piece of rows returns its
-    row sums and back-propagated spectra; the weights are applied per block.
+    Each row of |u|^4 u goes back through the adjoint of its step: a direct
+    row by the conjugate flow row in frequency, and a factored row, with
+    h = |ghat_t|^4 ghat_t, by
+
+        e^{-it Delta} ( |u|^4 u )(y) = (4 pi |t|)^{-2} e^{i y^2/4t} F^{-1}[h](y),
+
+    that is h times conj(plan.phase) / dx^2, inverse-transformed, times the
+    conjugate chirp row.  Pieces return row sums and back-propagated rows; per
+    block, the weighted direct spectra are summed for one inverse transform
+    and the weighted factored rows on the spatial grid.
     """
     # the quintic power spreads the spectrum fivefold
     warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
+    back = np.conj(plan.phase) / plan.grid.dx ** 2
 
     def piece(rows, nodes, phases, factored):
         (rows,) = rows
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2
-        spectra = scipy.fft.fft(quartic * rows, axis=-1, overwrite_x=True)
-        # back to t = 0: the Fresnel multiplier on factored rows, the inverse
-        # flow on direct ones
-        spectra *= plan.table("fresnel", nodes) if factored else np.conj(phases)
-        return (quartic * power).sum(axis=-1), spectra
+        quintic = quartic * rows
+        if factored:
+            quintic *= back
+            quintic = scipy.fft.ifft(quintic, axis=-1, overwrite_x=True)
+        else:
+            quintic = scipy.fft.fft(quintic, axis=-1, overwrite_x=True)
+        quintic *= np.conj(phases)
+        return (quartic * power).sum(axis=-1), quintic
 
-    direct, fresnel = np.zeros((2, f.grid.n), dtype=complex)
+    spectrum, spatial = np.zeros((2, f.grid.n), dtype=complex)
     sixth = 0.0
-    for sl, factored, (sums, spectra) in plan.reduce_blocks([f], None, piece):
+    for sl, factored, (sums, rows) in plan.reduce_blocks([f], None, piece):
         sixth += plan.measure(sl, factored, 6) @ sums
         if factored:
-            fresnel += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ spectra
+            spatial += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ rows
         else:
-            direct += plan.tq.weights[sl] @ spectra
-    accum = plan.phase * np.fft.fftshift(direct) + scipy.fft.ifft(fresnel)
-    return inverse_transform(WaveFunction(f.grid.dual(), KAPPA * accum)), float(sixth)
+            spectrum += plan.tq.weights[sl] @ rows
+    return WaveFunction(f.grid, KAPPA * (scipy.fft.ifft(spectrum) + spatial)), float(sixth)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +262,8 @@ def picard_iterate(f0: WaveFunction, tol: float = 1e-8, max_steps: int = 200,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if lp_norm(f0, 2) == 0:
         raise ValueError("picard_iterate requires a nonzero start")
 

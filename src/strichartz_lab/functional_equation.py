@@ -124,6 +124,8 @@ def residual_samples(f, n_samples: int, seed: int, sampler_box: float = 3.0) -> 
     Triples are drawn uniformly from [-box, box]^3 and angles uniformly from
     [0, 2pi); identical seeds reproduce identical samples.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     ev = _as_evaluator(f)
     xyz = rng.uniform(-sampler_box, sampler_box, size=(n_samples, 3))

@@ -139,15 +139,6 @@ class FrequencyGrid:
     def spatial(self) -> UniformGrid:
         return UniformGrid(n=self.n, dx=2.0 * np.pi / (self.n * self.dxi), x0=self.x0_space)
 
-    def as_spatial_axis(self) -> UniformGrid:
-        """Reinterpret this frequency axis as a spatial axis of its own.
-
-        Used when an operator acts on the frequency variable (for instance a
-        Fresnel step in xi); the samples keep their positions, only the role
-        of the axis changes.
-        """
-        return UniformGrid(n=self.n, dx=self.dxi, x0=float(self.xi[0]))
-
 
 Grid = UniformGrid | FrequencyGrid
 

@@ -31,9 +31,9 @@ is a reduction over those blocks (FlowPlan.reduce_blocks).  The plan alone
 makes the engine's choices: a plan made without a time rule takes
 default_time_quadrature(), and reduce_blocks takes the inputs' switch_time
 when given no switch, so the functionals pass both on untouched.  Its phase
-tables (the multiplier e^{it xi^2}, the chirp e^{-ix^2/4t} and the Fresnel
-multiplier of Lambda) are kept when one nodes x n table fits in TABLE_BYTES,
-and are computed per block otherwise.
+tables, the multiplier e^{it xi^2} and the chirp e^{-ix^2/4t}, are kept when
+one nodes x n table fits in TABLE_BYTES, and computed per block otherwise;
+only the plan reads them, and a reduction is handed the rows it needs.
 
 The blocks run on one thread per CPU the process may run on (os.cpu_count()
 where the platform has no affinity call): the calling thread and a pool of
@@ -48,19 +48,19 @@ would.  numpy's per-row sums and pocketfft's per-row transforms do not depend
 on how many rows share a call, so every value is the same bit for bit on any
 number of CPUs.  At most one block's rows are in flight, in buffers the
 calling thread allocates once per call.  A kept table fills the rows it lacks
-on first read (FlowPlan.table), under the plan's lock and from whichever
+on first read (FlowPlan._table), under the plan's lock and from whichever
 thread reads them, and never writes a filled row again; so pieces, and
 threads that share one plan, read and fill one table at once.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
 per process (_legendre) and shared by every time rule and by the quadrature
-rules of sextic_form.  Its nodes come in exact +-t pairs, and the flow, chirp
-and Fresnel rows of -t are the complex conjugates of those of t, bit for bit.
+rules of sextic_form.  Its nodes come in exact +-t pairs, and the flow and
+chirp rows of -t are the complex conjugates of those of t, bit for bit.
 So on a symmetric rule a plan computes phase rows for t >= 0 only: it walks
 the t >= 0 half and yields each block's mirror block just before it.  Within
 a row, an exponent array that is even in the column index (x^2 on a symmetric
-grid, xi^2 and eta^2 always) needs exponentials for columns 0..n/2 only.
+grid, xi^2 always) needs exponentials for columns 0..n/2 only.
 """
 
 from __future__ import annotations
@@ -355,9 +355,9 @@ class FlowPlan:
         #: makes the plan: a table a pool worker allocated would come from
         #: that worker's malloc arena, which raised the picard benchmark's
         #: peak RSS by about 3 MiB (2-CPU host).  np.empty touches no row
-        #: until table fills it.
+        #: until _table fills it.
         self._tables = {kind: (np.empty((m, grid.n), dtype=complex), np.zeros(m, bool))
-                        for kind in ("flow", "chirp", "fresnel")} if self._keep else {}
+                        for kind in ("flow", "chirp")} if self._keep else {}
         self._fill_lock = threading.Lock()
         #: nodes in exact +-t pairs: the rows of -t are conjugates of those of t
         self._symmetric = np.array_equal(tq.nodes, -tq.nodes[::-1])
@@ -367,13 +367,10 @@ class FlowPlan:
         # (-1)^j shifts the FFT output to centred order (n is even)
         self._sign = np.where(np.arange(grid.n) % 2, -1.0, 1.0)
         self._x2 = grid.x ** 2
-        # eta, the dual of the frequency axis read as a spatial axis
-        self._eta2 = np.fft.ifftshift(dual.as_spatial_axis().dual().xi) ** 2
-        #: kinds whose phase rows are even, row[j] == row[n - j]: xi^2 and eta^2
-        #: always, x^2 on a grid symmetric to the last bit (the chirp's sign is
-        #: even because n is)
+        #: kinds with even rows, row[j] == row[n - j]: flow always, chirp on a
+        #: grid symmetric to the last bit (its sign is even because n is)
         self._even = {kind: np.array_equal(a[1:], a[:0:-1]) for kind, a in
-                      (("flow", self._xi2), ("chirp", self._x2), ("fresnel", self._eta2))}
+                      (("flow", self._xi2), ("chirp", self._x2))}
 
     def _mirror(self, sl: slice) -> slice:
         """The t < 0 rows, ascending, that mirror the t >= 0 rows sl of a
@@ -383,7 +380,7 @@ class FlowPlan:
             return slice(0, 0)
         return slice(m - sl.stop, min(m - sl.start, m // 2))
 
-    def table(self, kind: str, sl: slice) -> np.ndarray:
+    def _table(self, kind: str, sl: slice) -> np.ndarray:
         """Rows sl of a phase table (see _phases), on any thread: a view of the
         kept table, or rows computed afresh on a plan that keeps no tables.
         The kept rows of sl not yet filled are filled first, under the plan's
@@ -409,16 +406,14 @@ class FlowPlan:
 
     def _phases(self, kind: str, sl: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Rows sl of a phase table, into out when given: "flow" e^{it xi^2}
-        and "fresnel" e^{i eta^2 / 4t} in FFT order, "chirp" (-1)^j
-        e^{-i x_j^2 / 4t}.  An even kind takes exponentials on columns 0..n/2
-        only and copies column n - j from column j."""
+        in FFT order, "chirp" (-1)^j e^{-i x_j^2 / 4t}.  An even kind takes
+        exponentials on columns 0..n/2 only, copying column n - j from j."""
         t = self.tq.nodes[sl, None]
         if kind == "flow":
             coef, arg = 1j * t, self._xi2
         else:
             # 1/4t; a t = 0 node is never factored, so its row is never read
-            s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
-            coef, arg = (-1j * s, self._x2) if kind == "chirp" else (1j * s, self._eta2)
+            coef, arg = -1j * np.divide(0.25, t, out=np.zeros_like(t), where=t != 0), self._x2
         n = self.grid.n
         h = n // 2 + 1 if self._even[kind] else n
         z = np.empty((len(t), n), dtype=complex) if out is None else out
@@ -434,7 +429,7 @@ class FlowPlan:
         """fn's results on the rows of a piece's mirror (None when it has none)
         and of the piece sl.  buffers are (row buffer, phase buffer): the rows
         of every input go through one transform in the row buffer.  A kept
-        plan reads its phase rows through table; an unkept plan computes them
+        plan reads its phase rows through _table; an unkept plan computes them
         in the phase buffer, conjugates them in place for the mirror and back
         for sl, which is exact, so the two cost one array of exponentials."""
         row_buf, phase_buf = buffers
@@ -455,8 +450,8 @@ class FlowPlan:
         mirror = self._mirror(sl)
         count = mirror.stop - mirror.start
         if self._keep:
-            mirrored = apply(mirror, self.table(kind, mirror)) if count else None
-            return mirrored, apply(sl, self.table(kind, sl))
+            mirrored = apply(mirror, self._table(kind, mirror)) if count else None
+            return mirrored, apply(sl, self._table(kind, sl))
         phases = self._phases(kind, sl, phase_buf[:(sl.stop - sl.start) * n].reshape(-1, n))
         mirrored = None
         if count:
@@ -477,8 +472,7 @@ class FlowPlan:
         input passed in several slots is evolved once.  phases are the rows
         that made them: the flow multiplier e^{it xi^2}, or the chirp of the
         factored gauge.  fn returns arrays whose first axis runs over the
-        rows.  It may run on any thread of the pool, and reads any other
-        phase rows through table.
+        rows.  It may run on any thread of the pool.
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each
@@ -603,12 +597,13 @@ class FourierSymmetryResult:
 
 
 def _inverse_fourier_profile(f: WaveFunction) -> WaveFunction:
-    """f^vee(x) = (1/2pi) int e^{i x xi} f(xi) dxi placed on the dual axis."""
+    """f^vee(x) = (1/2pi) int e^{i x xi} f(xi) dxi placed on the dual axis, read
+    as a spatial axis: the samples keep their places."""
     fhat = forward_transform(f)
     vals = fhat.values
     # fhat(-xi) on the centered grid: index 0 is self-paired (one-sided Nyquist)
     flipped = np.concatenate([vals[:1], vals[1:][::-1]])
-    grid = fhat.grid.as_spatial_axis()
+    grid = UniformGrid(n=fhat.grid.n, dx=fhat.grid.dxi, x0=float(fhat.grid.xi[0]))
     return WaveFunction(grid, flipped / (2.0 * np.pi))
 
 

@@ -235,6 +235,13 @@ def test_cli_offers_seed_only_where_the_experiment_has_one(capsys, experiment, s
                  "line 3: repeated key 'powersums.kmax'", id="repeated-key"),
     pytest.param("power-sums", "experiment = power-sums\n", [],
                  "line 3: repeated key 'experiment'", id="repeated-experiment"),
+    # counts below what the run needs, which the library or runner refuses
+    ("iterate", {"picard.max_steps": "-3"}, [], "max_steps must be nonnegative, got -3"),
+    ("q-crosscheck", {"crosscheck.n_random_sextuples": "0"}, [],
+     "n_random_sextuples must be at least 1, got 0"),
+    ("q-crosscheck", {"crosscheck.n_random_sextuples": "-1"}, [],
+     "n_random_sextuples must be at least 1, got -1"),
+    ("functional-residual", {"sampler.n_samples": "0"}, [], "n_samples must be at least 1, got 0"),
 ])
 def test_cli_refused_config_exits_2_without_output(tmp_path, capsys, experiment, entries,
                                                    args, named):

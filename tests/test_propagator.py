@@ -24,6 +24,7 @@ from strichartz_lab.propagator import (
     TimeQuadrature,
     _inverse_fourier_profile,
     _legendre,
+    default_grid,
     evolve,
     fourier_symmetry_check,
     gaussian_l6_sixth_exact,
@@ -336,9 +337,7 @@ def _full_row_phases(plan, kind, sl):
     s = np.divide(0.25, t, out=np.zeros_like(t), where=t != 0)
     if kind == "flow":
         return np.exp(1j * t * plan._xi2)
-    if kind == "chirp":
-        return np.exp(-1j * s * plan._x2) * plan._sign
-    return np.exp(1j * s * plan._eta2)
+    return np.exp(-1j * s * plan._x2) * plan._sign
 
 
 @pytest.mark.parametrize("grid, even_chirp", [
@@ -347,8 +346,8 @@ def _full_row_phases(plan, kind, sl):
 ])
 def test_half_row_phases_equal_full_rows_bit_for_bit(grid, even_chirp):
     plan = FlowPlan(grid, TimeQuadrature.compactified(33))
-    assert plan._even == {"flow": True, "chirp": even_chirp, "fresnel": True}
-    for kind in ("flow", "chirp", "fresnel"):
+    assert plan._even == {"flow": True, "chirp": even_chirp}
+    for kind in ("flow", "chirp"):
         for sl in (slice(0, 33), slice(17, 20)):
             rows = plan._phases(kind, sl)
             assert rows.tobytes() == _full_row_phases(plan, kind, sl).tobytes(), kind
@@ -375,7 +374,7 @@ def test_kept_tables_serve_lambda_from_half_the_rows(grid):
     asked = _count_phase_rows(plan)
     _lambda_with_l6(f, plan)
     factored = int((plan.tq.nodes > switch_time(f)).sum())
-    assert asked == {"flow": 17 - factored, "chirp": factored, "fresnel": factored}
+    assert asked == {"flow": 17 - factored, "chirp": factored}
     first = dict(asked)
     _lambda_with_l6(f, plan)  # a second call reads the kept tables only
     assert asked == first
@@ -437,15 +436,15 @@ def test_only_propagator_builds_legendre_rules():
 
 def test_flow_plan_alone_picks_the_rule_the_crossover_and_the_pieces():
     # every call of the default rule and of the crossover, by the module
-    # function or method that makes it, and every name of the pool imported
-    # from propagator
+    # function or method that makes it, every name of the pool imported from
+    # propagator, and every name of the plan's phase tables outside it
     import ast
     import inspect
     import pathlib
 
     import strichartz_lab
 
-    calls, pool_imports, compares = set(), set(), set()
+    calls, pool_imports, compares, table_reads = set(), set(), set(), set()
     for path in pathlib.Path(strichartz_lab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         for top in tree.body:
@@ -462,12 +461,19 @@ def test_flow_plan_alone_picks_the_rule_the_crossover_and_the_pieces():
                                     if alias.name in ("_pool", "_run", "_split"))
             if path.name == "extremizer.py" and isinstance(node, ast.Compare):
                 compares.add(ast.unparse(node))
+            if (path.name != "propagator.py" and isinstance(node, ast.Attribute)
+                    and node.attr in ("_table", "_tables", "_phases")):
+                table_reads.add((path.name, ast.unparse(node)))
     assert calls == {("default_time_quadrature", "propagator.py", "FlowPlan.__init__"),
                      ("switch_time", "propagator.py", "FlowPlan.reduce_blocks")}
     assert pool_imports == set()
     # extremizer compares no time node with a crossover of its own
     assert not any("nodes" in c or "switch" in c for c in compares), compares
     assert "switch" not in inspect.signature(bilinear_l3).parameters
+    # only propagator reads a phase table: a reduction goes back through the
+    # rows it receives, and a kept plan holds the flow and chirp tables alone
+    assert table_reads == set() and not hasattr(FlowPlan, "table")
+    assert set(FlowPlan(default_grid())._tables) == {"flow", "chirp"}
 
 
 # ---------------------------------------------------------------------------

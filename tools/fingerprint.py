@@ -14,6 +14,8 @@ this checkout:
   the final state, its ratio and the number of states;
 * ``strichartz_ratio``, ``lambda_apply``, ``omega_of`` and
   ``fourier_symmetry_check`` of (1 + 0.3x) e^{-x^2 + 0.5ix};
+* ``lambda_apply`` of the same profile centred at x = 30 on the box [0, 40)
+  of 1024 points, away from the origin;
 * ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
   on the ``smooth_profile`` sextuple of ``default_rng(4)``;
 * ``calibrate_kappa`` on the Gaussian and the profile above;
@@ -85,6 +87,10 @@ def main(argv=None) -> int:
     show("omega", extremizer.omega_of(f))
     sym = propagator.fourier_symmetry_check(f)
     show("fourier_symmetry", f"{sym.ratio_f.hex()} {sym.ratio_finv.hex()} {sym.fitted_c.hex()}")
+    box = lattice.UniformGrid(n=grid.n, dx=grid.dx, x0=0.0)
+    xc = box.x - 30.0
+    off = lattice.WaveFunction(box, (1 + 0.3 * xc) * np.exp(-xc ** 2 + 0.5j * xc))
+    show("lambda[0,40)", extremizer.lambda_apply(off).values)
 
     gauss = lattice.make_gaussian(grid)
     rng = np.random.default_rng(4)
