@@ -29,6 +29,7 @@ from .lattice import (
     GridMismatchError,
     UniformGrid,
     WaveFunction,
+    _live,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -103,8 +104,8 @@ def hausdorff_young_density(h1: WaveFunction, h2: WaveFunction) -> float:
     xi = f1.grid.xi
     m1 = np.abs(f1.values)
     m2 = np.abs(f2.values)
-    sup1 = m1 > 1e-14 * m1.max()
-    sup2 = m2 > 1e-14 * m2.max()
+    sup1 = _live(m1)
+    sup2 = _live(m2)
     if not sup1.any() or not sup2.any():
         raise ValueError("empty frequency support")
     xi1 = xi[sup1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .lattice import WaveFunction, _fourier_sum, _spectrum, lp_norm
+from .lattice import WaveFunction, _fourier_sum, _live, _spectrum, lp_norm
 from .sextic_form import WeightParams, weight
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "tail_norm_H",
 ]
 
-#: samples of |fhat| below this fraction of its peak are rounding noise
-_NOISE_FLOOR = 1e-14
 #: |fhat| / max |fhat| range of mu_slope_fit's default window
 _FIT_RANGE = (1e-10, 1e-2)
 #: step of analytic_extension_probe's Cauchy-Riemann differences
@@ -85,17 +83,15 @@ def tail_norm_H(f: WaveFunction, s: float, eps: float) -> float:
     with mu = s^{-4}.
 
     Nonincreasing in eps (the weight is); converges monotonically as
-    eps -> 0 to the eps = 0 value on the grid.  Samples of fhat below
-    _NOISE_FLOOR of its peak are treated as exact zeros: they are rounding
-    noise, and the unbounded eps = 0 weight would amplify them into
-    overflow.
+    eps -> 0 to the eps = 0 value on the grid.  Only the live samples of fhat
+    (lattice._live) count: the others are rounding noise, and the unbounded
+    eps = 0 weight would amplify them into overflow.
     """
     fhat = _banded_spectrum(f, s)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     xi = fhat.grid.xi
-    mag = np.abs(fhat.values)
-    mask = (np.abs(xi) >= s * s) & (mag >= _NOISE_FLOOR * mag.max())
+    mask = (np.abs(xi) >= s * s) & _live(np.abs(fhat.values))
     if not mask.any():
         return 0.0
     w = WeightParams(mu=s ** (-4.0), eps=eps)
@@ -218,11 +214,11 @@ def analytic_extension_probe(f: WaveFunction, zs):
     """Evaluate the inversion integral f(z) = (1/2pi) int e^{iz xi} fhat dxi
     at complex points and report finite-difference Cauchy-Riemann residuals.
 
-    The integral is lattice's exact Fourier sum over the samples where |fhat|
-    stands above _NOISE_FLOOR of its peak; the others, rounding noise that
-    e^{|Im z| xi} would amplify, read zero.  A fitted decay slope must
-    certify the requested imaginary offsets: |Im z| <= mu_hat * xi_window / 2
-    keeps the tail integrable on the window model.
+    The integral is lattice's exact Fourier sum over the live samples of
+    fhat (lattice._live); the others, rounding noise that e^{|Im z| xi}
+    would amplify, read zero.  A fitted decay slope must certify the
+    requested imaginary offsets: |Im z| <= mu_hat * xi_window / 2 keeps the
+    tail integrable on the window model.
 
     Returns (values, cr_residuals) aligned with zs.
     """
@@ -231,8 +227,7 @@ def analytic_extension_probe(f: WaveFunction, zs):
     fit = mu_slope_fit(fhat)
     if fit.mu_hat <= 0:
         raise ValueError("no positive decay slope; analytic extension not certified")
-    mag = np.abs(fhat.values)
-    live = mag >= _NOISE_FLOOR * mag.max()
+    live = _live(np.abs(fhat.values))
     xi_window = float(np.abs(fhat.grid.xi[live]).max())
     im_bound = 0.5 * fit.mu_hat * xi_window
     max_im = np.abs(zs.imag).max() + 2 * _FD_STEP

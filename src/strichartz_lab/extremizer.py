@@ -131,7 +131,7 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
     warn_if_aliased(f, band_fraction=1.0 / 6.0, context="lambda_apply")
     back = np.conj(plan.phase) / plan.grid.dx ** 2
 
-    def piece(rows, nodes, phases, factored):
+    def piece(rows, phases, factored):
         (rows,) = rows
         power = rows.real ** 2 + rows.imag ** 2
         quartic = power ** 2

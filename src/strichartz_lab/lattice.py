@@ -39,11 +39,9 @@ __all__ = [
     "inverse_transform",
     "lp_norm",
     "make_gaussian",
-    "l2_mass_radius",
     "load_wavefunction",
     "sample_offgrid",
     "save_wavefunction",
-    "spectral_tail_fraction",
     "warn_if_aliased",
     "write_table",
 ]
@@ -225,24 +223,18 @@ def inner_product(f: WaveFunction, g: WaveFunction) -> complex:
     return complex(f.weight * np.sum(np.conj(f.values) * g.values))
 
 
-def spectral_tail_fraction(f: WaveFunction, xi_cut: float) -> float:
-    """Fraction of ||fhat||_2^2 carried by |xi| >= xi_cut."""
-    fhat = _spectrum(f)
-    xi = fhat.grid.xi
-    power = np.abs(fhat.values) ** 2
-    total = power.sum()
-    if total == 0:
-        return 0.0
-    return float(power[np.abs(xi) >= xi_cut].sum() / total)
-
-
 _ALIASING_TOL = 1e-8
 
 
 def warn_if_aliased(f: WaveFunction, band_fraction: float = 1.0 / 6.0, context: str = "") -> bool:
     """Warn when f carries more than _ALIASING_TOL of its spectral mass
-    beyond band_fraction * nyquist.  Returns True when the warning fired."""
-    frac = spectral_tail_fraction(f, band_fraction * f.grid.nyquist)
+    ||fhat||_2^2 at |xi| >= band_fraction * nyquist.  Returns True when the
+    warning fired."""
+    fhat = _spectrum(f)
+    power = np.abs(fhat.values) ** 2
+    total = power.sum()
+    tail = power[np.abs(fhat.grid.xi) >= band_fraction * f.grid.nyquist].sum()
+    frac = float(tail / total) if total else 0.0
     if frac > _ALIASING_TOL:
         where = f" in {context}" if context else ""
         warn_at_caller(
@@ -252,21 +244,6 @@ def warn_if_aliased(f: WaveFunction, band_fraction: float = 1.0 / 6.0, context: 
         )
         return True
     return False
-
-
-def l2_mass_radius(f: WaveFunction, tail: float = 1e-12) -> float:
-    """Smallest radius R (about 0) such that the |f|^2 mass outside |axis| > R
-    is at most tail * total.  Returns 0 for the zero function."""
-    axis = np.abs(f.axis)
-    power = np.abs(f.values) ** 2
-    total = power.sum()
-    if total == 0:
-        return 0.0
-    order = np.argsort(axis)
-    cumulative = np.cumsum(power[order])
-    idx = np.searchsorted(cumulative, (1.0 - tail) * total)
-    idx = min(idx, len(axis) - 1)
-    return float(axis[order][idx])
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +325,17 @@ def sample_offgrid(f: WaveFunction, points: np.ndarray) -> np.ndarray:
     u[last] += 1.0
     out = _interpolate(_spline_table(f), (col, u))
     return out if np.ndim(points) else out[0]
+
+
+#: samples of a spectrum at or below this fraction of its peak modulus are
+#: rounding noise
+_NOISE_FLOOR = 1e-14
+
+
+def _live(mag: np.ndarray) -> np.ndarray:
+    """Mask of the live samples of a spectrum's modulus mag, those above
+    _NOISE_FLOOR of its peak; a zero spectrum has none."""
+    return mag > _NOISE_FLOOR * mag.max()
 
 
 def _fourier_sum(fhat: WaveFunction, z: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:

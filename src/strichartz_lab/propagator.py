@@ -17,12 +17,15 @@ so ghat_t is computable at spectral accuracy for arbitrarily large |t|.  All
 space-time integrals reduce to quadratures of ghat_t on the frequency grid
 with the Jacobian 2|t| and amplitude (4 pi |t|)^{-1/2} per factor.
 
-One rule, switch_time, places the switch point from the inputs' spatial and
-spectral extents.  It returns a time inside the window where both
-representations are accurate; for an input that fills the box, so that the
-direct gauge wraps before the factored one resolves, it switches just past
-the factored bound with a warning; and when the spectrum reaches the band
-edge, so that the factored gauge never resolves, it raises.
+One rule, switch_time, places the switch point from one mass interval of
+each input along x and one along xi.  The direct gauge is the periodic flow,
+which translation and modulation leave as it is, so its horizon reads only
+the widths; the chirp of the factored gauge uses true positions, so its bound
+reads each interval's reach from the origin.  It returns a time inside the
+window where both representations are accurate; for an input that fills the
+box, so that the direct gauge wraps before the factored one resolves, it
+switches just past the factored bound with a warning; and when the spectrum
+reaches the band edge, so that the factored gauge never resolves, it raises.
 
 Every evaluation of the flow goes through one block engine, FlowPlan.  It
 evolves its inputs over runs of nodes in one gauge, in blocks of at most
@@ -81,7 +84,6 @@ from .lattice import (
     UniformGrid,
     WaveFunction,
     forward_transform,
-    l2_mass_radius,
     lp_norm,
     warn_at_caller,
     warn_if_aliased,
@@ -213,26 +215,30 @@ _WINDOWS = ((0.90, 1e-12), (0.95, 1e-3))
 _BOX_MARGIN = 0.98
 
 
+def _interval(axis: np.ndarray, power: np.ndarray, tail: float) -> tuple[float, float]:
+    """(lo, hi) on an ascending axis with at most tail / 2 of the mass of
+    power below lo and at most tail / 2 above hi."""
+    cumulative = np.cumsum(power)
+    lo, hi = np.searchsorted(cumulative, [0.5 * tail * cumulative[-1],
+                                          (1.0 - 0.5 * tail) * cumulative[-1]])
+    return float(axis[lo]), float(axis[hi])
+
+
 def _gauge_crossover(fields, band_margin: float, mass_tail: float) -> tuple[float, float]:
     """(t_factored_min, t_direct_max) for the given extent tolerance."""
-    grid = fields[0].grid
-    half = 0.5 * grid.extent
-    nyq = grid.nyquist
-    t_direct = np.inf
-    t_factored = 0.0
-    for f in fields:
+    nyq = fields[0].grid.nyquist
+    t_factored, t_direct = 0.0, np.inf
+    for f in {id(f): f for f in fields}.values():
         if not np.any(f.values):
             continue  # zero fields do not constrain the gauge
-        x_rad = l2_mass_radius(f, tail=mass_tail)
         fhat = forward_transform(f)
-        b_rad = min(l2_mass_radius(fhat, tail=mass_tail), band_margin * nyq)
-        room = _BOX_MARGIN * half - x_rad
-        if room <= 0 or b_rad <= 0:
-            t_direct = min(t_direct, 0.0)
-        else:
-            t_direct = min(t_direct, room / (2.0 * b_rad))
-        denom = band_margin * nyq - b_rad
-        t_factored = np.inf if denom <= 0 else max(t_factored, x_rad / (2.0 * denom))
+        x_lo, x_hi = _interval(f.axis, np.abs(f.values) ** 2, mass_tail)
+        xi_lo, xi_hi = _interval(fhat.axis, np.abs(fhat.values) ** 2, mass_tail)
+        room = _BOX_MARGIN * 0.5 * f.grid.extent - 0.5 * (x_hi - x_lo)
+        spread = min(0.5 * (xi_hi - xi_lo), band_margin * nyq)
+        t_direct = min(t_direct, room / (2.0 * spread) if room > 0 and spread > 0 else 0.0)
+        denom = band_margin * nyq - max(-xi_lo, xi_hi)
+        t_factored = np.inf if denom <= 0 else max(t_factored, max(-x_lo, x_hi) / (2.0 * denom))
     return float(t_factored), float(t_direct)
 
 
@@ -241,13 +247,20 @@ def switch_time(fields) -> float:
     spatial-grid functions (a WaveFunction or an iterable of them).
 
     Below the returned time the periodized multiplier solution has not yet
-    wrapped; above it the chirped profile is resolvable on the grid.  The
-    rows of _WINDOWS are tried in turn, and the first window where both hold
-    gives its geometric mean.  An input that fills the box (hard-banded data,
-    whose slowly decaying tails wrap the direct gauge at once) has no window;
-    it switches at 1.2 times the first finite factored bound, with an
-    AliasingWarning.  A spectrum reaching the band edge leaves no finite
-    bound and raises ValueError.
+    wrapped; above it the chirped profile is resolvable on the grid.  Each
+    distinct input is measured once per window, by the intervals along x and
+    xi that leave mass_tail / 2 of |f|^2 and of |fhat|^2 beyond each end.
+    The direct gauge wraps once the x interval, growing by 2|t| times the xi
+    half-width at each end, fills _BOX_MARGIN of the box, wherever the
+    intervals sit.  The factored gauge resolves once the chirped frequencies,
+    out to the xi reach plus the x reach over 2|t| (reaches from the
+    origin), fit in band_margin of the band.  The rows of _WINDOWS are tried
+    in turn, and the first window where both hold gives its geometric mean.
+    An input that fills the box (hard-banded data, whose slowly decaying
+    tails wrap the direct gauge at once) has no window; it switches at 1.2
+    times the first finite factored bound, with an AliasingWarning.  A
+    spectrum reaching the band edge leaves no finite bound and raises
+    ValueError.
     """
     if isinstance(fields, WaveFunction):
         fields = [fields]
@@ -436,28 +449,27 @@ class FlowPlan:
         n = self.grid.n
         kind, transform = ("chirp", scipy.fft.fft) if factored else ("flow", scipy.fft.ifft)
 
-        def apply(rsl, phases):
-            count = rsl.stop - rsl.start
-            buf = row_buf[:len(inputs) * count * n].reshape(len(inputs), count, n)
+        def apply(phases):
+            buf = row_buf[:len(inputs) * phases.size].reshape(len(inputs), -1, n)
             for b, v in zip(buf, inputs.values()):
                 np.multiply(phases, v, out=b)
             buf = transform(buf, axis=-1, overwrite_x=True)
             if factored:
                 buf *= self.phase
             rows = dict(zip(inputs, buf))
-            return fn([rows[id(f)] for f in fields], rsl, phases, factored)
+            return fn([rows[id(f)] for f in fields], phases, factored)
 
         mirror = self._mirror(sl)
         count = mirror.stop - mirror.start
         if self._keep:
-            mirrored = apply(mirror, self._table(kind, mirror)) if count else None
-            return mirrored, apply(sl, self._table(kind, sl))
+            mirrored = apply(self._table(kind, mirror)) if count else None
+            return mirrored, apply(self._table(kind, sl))
         phases = self._phases(kind, sl, phase_buf[:(sl.stop - sl.start) * n].reshape(-1, n))
         mirrored = None
         if count:
-            mirrored = apply(mirror, np.conj(phases, out=phases)[::-1][:count])
+            mirrored = apply(np.conj(phases, out=phases)[::-1][:count])
             np.conj(phases, out=phases)
-        return mirrored, apply(sl, phases)
+        return mirrored, apply(phases)
 
     def reduce_blocks(self, fields, switch: float | None, fn):
         """Evolve fields over runs of at most block_rows nodes in one gauge
@@ -466,13 +478,14 @@ class FlowPlan:
         block's rows with fn.  Yields (nodes, factored, out), out[i] the i-th
         array fn returns, joined along rows over the block's pieces.
 
-        fn(rows, nodes, phases, factored) gets rows[i], the rows of fields[i]
-        at a run of nodes: samples u(x_j, t_k) in the direct gauge, ghat_{t_k}
-        on the centred dual grid in the factored gauge, as factored says; an
+        fn(rows, phases, factored) gets rows[i], the rows of fields[i] at a
+        run of nodes: samples u(x_j, t_k) in the direct gauge, ghat_{t_k} on
+        the centred dual grid in the factored gauge, as factored says; an
         input passed in several slots is evolved once.  phases are the rows
         that made them: the flow multiplier e^{it xi^2}, or the chirp of the
         factored gauge.  fn returns arrays whose first axis runs over the
-        rows.  It may run on any thread of the pool.
+        rows, which the walk joins and yields with the run's nodes.  It may
+        run on any thread of the pool.
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each

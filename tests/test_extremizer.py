@@ -28,11 +28,14 @@ OMEGA_GAUSSIAN = KAPPA / (2 * np.sqrt(3))  # ~ 449.9
 
 
 #: boxes [x0, x0 + 40) of 1024 points away from the origin, the centre c of
-#: the profiles on each, and bounds at 100x the observed relative adjoint
-#: defect and distance to Lambda on the centred translate [x0 - c, x0 - c + 40)
-#: (the 0.0 defect on [10, 50) is bounded at 100 ulps).  Lambda once took its
-#: factored rows back on a frequency axis centred at 0, which read defects of
-#: 0.42, 0.37 and 0.31 here.
+#: the profiles on each, and bounds at 100x the relative adjoint defect and
+#: distance to Lambda on the centred translate [x0 - c, x0 - c + 40) observed
+#: when they were set (the 0.0 defect on [10, 50) is bounded at 100 ulps).
+#: Lambda once took its factored rows back on a frequency axis centred at 0,
+#: which read defects of 0.42, 0.37 and 0.31 here.  The 2.4e-11 on [0, 40)
+#: belongs to the box, not to the crossover: Lambda there differs from Lambda
+#: on a box 4x wider by 1.1e-11 of its peak at x ~ 0.2, 30 from c, for every
+#: switch from 0.05 to 0.54.
 OFF_CENTRE_BOXES = [(0.0, 30.0, 1.3e-14, 2.4e-9), (10.0, 35.0, 2.2e-14, 1.3e-13),
                     (-60.0, -45.0, 2.5e-14, 1.1e-13)]
 
@@ -50,11 +53,8 @@ def test_adjoint_identity(grid, unit_gaussian, tq, rng):
         x = box.x - c
         f = WaveFunction(box, (1 + 0.3 * x) * np.exp(-x ** 2 + 0.5j * x))
         g = WaveFunction(box, np.exp(-0.8 * (x - 0.3) ** 2 - 0.2j * x))
-        # switch_time measures the room of the box about x = 0, so a profile
-        # far from 0 finds no crossover window
-        with pytest.warns(AliasingWarning, match="no gauge crossover window"):
-            lam = lambda_apply(f, tq)
-            q = q_spacetime(g, f, f, f, f, f, tq)
+        lam = lambda_apply(f, tq)
+        q = q_spacetime(g, f, f, f, f, f, tq)
         assert abs(inner_product(g, lam) - q) <= adjoint_bound * abs(q), (x0, c)
         centred = lambda_apply(WaveFunction(UniformGrid(n=grid.n, dx=grid.dx, x0=x0 - c),
                                             f.values), tq).values

@@ -248,6 +248,40 @@ def test_band_edge_input_has_no_crossover(band_edge):
         strichartz_ratio(band_edge)
 
 
+def test_direct_horizon_is_covariant_under_translation_and_modulation(grid):
+    # the direct gauge is the periodic flow, which moving the box or a
+    # modulation by a multiple of dxi leaves as it is; the chirp of the
+    # factored gauge reads true positions and frequencies, so its bound grows
+    # with the input's distance from the origin.  Measured about x = 0 and
+    # xi = 0, t_direct read 1.04, 0.0 (with a warning) and 0.57 here.
+    x = grid.x
+    values = (1 + 0.3 * x) * np.exp(-x ** 2 + 0.5j * x)
+    centred = WaveFunction(grid, values)
+    shifted = WaveFunction(UniformGrid(n=grid.n, dx=grid.dx, x0=0.0), values)
+    modulated = WaveFunction(grid, values * np.exp(40j * grid.dual().dxi * x))
+    for window in propagator._WINDOWS:
+        t_fact, t_direct = propagator._gauge_crossover([centred], *window)
+        for moved in (shifted, modulated):
+            moved_fact, moved_direct = propagator._gauge_crossover([moved], *window)
+            assert moved_direct == pytest.approx(t_direct, rel=1e-15, abs=0)
+            assert moved_fact > t_fact
+    for f in (centred, shifted, modulated):
+        switch_time(f)  # finds a window: the suite makes any warning an error
+
+
+def test_switch_time_measures_each_distinct_input_once(grid, gaussian, monkeypatch):
+    g = WaveFunction(grid, np.exp(-(grid.x - 1.0) ** 2 + 2j * grid.x))
+    calls = Counter()
+
+    def counted(f):
+        calls[id(f)] += 1
+        return forward_transform(f)
+
+    monkeypatch.setattr(propagator, "forward_transform", counted)
+    assert switch_time([gaussian, g, gaussian, gaussian, g, gaussian]) == switch_time([gaussian, g])
+    assert calls == {id(gaussian): 2, id(g): 2}
+
+
 def test_fourier_symmetry_constant_across_inputs(grid, gaussian):
     res_g = fourier_symmetry_check(gaussian)
     hermite = WaveFunction(grid, (1 + 0.3 * grid.x + 0.2 * grid.x ** 2)

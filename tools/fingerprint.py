@@ -19,7 +19,11 @@ this checkout:
 * ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
   on the ``smooth_profile`` sextuple of ``default_rng(4)``;
 * ``calibrate_kappa`` on the Gaussian and the profile above;
-* ``separation_sweep(1, [4, 8], "random", 3)``: values and bounds.
+* ``separation_sweep(1, [4, 8], "random", 3)``: values and bounds;
+* ``switch_time`` of the profile above on the default box and at x = 30 on
+  [0, 40), of ``picard_start`` seed 1 after ``gauge_fix``, of the sextuple
+  above and of the seed-3 N = 4 sweep pair, so that a move of the gauge
+  crossover shows even where no value changes.
 
 The package is imported from --src (default: ``src/`` of this checkout),
 with one BLAS thread, set before numpy loads.  Takes about 2 s on 2 CPUs.
@@ -105,6 +109,14 @@ def main(argv=None) -> int:
     sweep = bilinear.separation_sweep(1, [4, 8], "random", 3)
     show("sweep.values", np.array(sweep.values))
     show("sweep.bounds", np.array(sweep.bounds))
+
+    wide = bilinear.sweep_grid(4, 1.0)
+    pair = [bilinear.make_band_limited(wide, 0.0, 1.0, "random", 3),
+            bilinear.make_band_limited(wide, 4.0, 8.0, "random", 4)]
+    start = extremizer.gauge_fix(picard_start(grid, np.random.default_rng(1)))
+    for name, fields in (("profile", f), ("profile[0,40)", off), ("picard_start[1]", start),
+                         ("random", sextuple), ("sweep[3].N4", pair)):
+        show(f"switch[{name}]", propagator.switch_time(fields))
     return 0
 
 
