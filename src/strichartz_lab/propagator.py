@@ -43,27 +43,31 @@ where the platform has no affinity call): the calling thread and a pool of
 one worker fewer, made on first use (none on one CPU, where everything runs
 inline).  _Pieces splits each block into one contiguous piece of rows per
 thread and sizes each piece's buffers; sextic_form's constraint-set rounds
-are split by the same helper.  A piece computes its own phase rows, evolves
-every input at those rows and at their mirror rows, and reduces them to
-per-row results such as row sums; the calling thread joins the pieces in
-node order and applies the quadrature weights once per block, as one thread
-would.  numpy's per-row sums and pocketfft's per-row transforms do not depend
-on how many rows share a call, so every value is the same bit for bit on any
-number of CPUs.  At most one block's rows are in flight, in buffers the
-calling thread allocates once per call.  A kept table fills the rows it lacks
-on first read (FlowPlan._table), under the plan's lock and from whichever
-thread reads them, and never writes a filled row again; so pieces, and
-threads that share one plan, read and fill one table at once.
+are split by the same helper.  A piece reads its phase rows from the kept
+table or computes them in its own phase buffer, evolves every input at those
+rows and then, from their conjugates in that buffer, at their mirror rows,
+and reduces them to per-row results such as row sums; the calling thread
+joins the pieces in node order and applies the quadrature weights once per
+block, as one thread would.  numpy's per-row sums and pocketfft's per-row
+transforms do not depend on how many rows share a call, so every value is
+the same bit for bit on any number of CPUs.  At most one block's rows are in
+flight, in buffers the calling thread allocates once per call.  A kept table
+fills the rows it lacks on first read (FlowPlan._table), under the plan's
+lock and from whichever thread reads them, and never writes a filled row
+again; so pieces, and threads that share one plan, read and fill one table
+at once.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
 per process (_legendre) and shared by every time rule and by the quadrature
 rules of sextic_form.  Its nodes come in exact +-t pairs, and the flow and
-chirp rows of -t are the complex conjugates of those of t, bit for bit.
-So on a symmetric rule a plan computes phase rows for t >= 0 only: it walks
-the t >= 0 half and yields each block's mirror block just before it.  Within
-a row, an exponent array that is even in the column index (x^2 on a symmetric
-grid, xi^2 always) needs exponentials for columns 0..n/2 only.
+chirp rows of -t equal the complex conjugates of those of t exactly (bit for
+bit, but for the sign of the chirp's zero imaginary part at x = 0).  So on a
+symmetric rule a plan computes phase rows for t >= 0 only, and a kept table
+never holds a t < 0 row: the walk takes the t >= 0 half and yields each
+block's mirror block just before it.  Within a row, an exponent array that is
+even in the column index (x^2 on a symmetric grid, xi^2 always) needs
+exponentials for columns 0..n/2 only.
 """
 
 from __future__ import annotations
@@ -215,31 +219,33 @@ _WINDOWS = ((0.90, 1e-12), (0.95, 1e-3))
 _BOX_MARGIN = 0.98
 
 
-def _interval(axis: np.ndarray, power: np.ndarray, tail: float) -> tuple[float, float]:
-    """(lo, hi) on an ascending axis with at most tail / 2 of the mass of
-    power below lo and at most tail / 2 above hi."""
-    cumulative = np.cumsum(power)
-    lo, hi = np.searchsorted(cumulative, [0.5 * tail * cumulative[-1],
-                                          (1.0 - 0.5 * tail) * cumulative[-1]])
-    return float(axis[lo]), float(axis[hi])
+def _intervals(f: WaveFunction) -> list[tuple[float, float]]:
+    """(lo, hi) along f's axis for each row of _WINDOWS: at most tail / 2 of
+    the mass of |f|^2 lies below lo and at most tail / 2 above hi."""
+    cumulative = np.cumsum(np.abs(f.values) ** 2)
+    levels = [[0.5 * tail * cumulative[-1], (1.0 - 0.5 * tail) * cumulative[-1]]
+              for _, tail in _WINDOWS]
+    return [(float(f.axis[lo]), float(f.axis[hi]))
+            for lo, hi in np.searchsorted(cumulative, levels)]
 
 
-def _gauge_crossover(fields, band_margin: float, mass_tail: float) -> tuple[float, float]:
-    """(t_factored_min, t_direct_max) for the given extent tolerance."""
+def _gauge_crossover(fields) -> list[tuple[float, float]]:
+    """(t_factored_min, t_direct_max) for each row of _WINDOWS."""
     nyq = fields[0].grid.nyquist
-    t_factored, t_direct = 0.0, np.inf
+    bounds = [(0.0, np.inf)] * len(_WINDOWS)
     for f in {id(f): f for f in fields}.values():
         if not np.any(f.values):
             continue  # zero fields do not constrain the gauge
-        fhat = forward_transform(f)
-        x_lo, x_hi = _interval(f.axis, np.abs(f.values) ** 2, mass_tail)
-        xi_lo, xi_hi = _interval(fhat.axis, np.abs(fhat.values) ** 2, mass_tail)
-        room = _BOX_MARGIN * 0.5 * f.grid.extent - 0.5 * (x_hi - x_lo)
-        spread = min(0.5 * (xi_hi - xi_lo), band_margin * nyq)
-        t_direct = min(t_direct, room / (2.0 * spread) if room > 0 and spread > 0 else 0.0)
-        denom = band_margin * nyq - max(-xi_lo, xi_hi)
-        t_factored = np.inf if denom <= 0 else max(t_factored, max(-x_lo, x_hi) / (2.0 * denom))
-    return float(t_factored), float(t_direct)
+        windows = zip(_WINDOWS, _intervals(f), _intervals(forward_transform(f)))
+        for k, ((band_margin, _), (x_lo, x_hi), (xi_lo, xi_hi)) in enumerate(windows):
+            t_fact, t_direct = bounds[k]
+            room = _BOX_MARGIN * 0.5 * f.grid.extent - 0.5 * (x_hi - x_lo)
+            spread = min(0.5 * (xi_hi - xi_lo), band_margin * nyq)
+            t_direct = min(t_direct, room / (2.0 * spread) if room > 0 and spread > 0 else 0.0)
+            denom = band_margin * nyq - max(-xi_lo, xi_hi)
+            t_fact = np.inf if denom <= 0 else max(t_fact, max(-x_lo, x_hi) / (2.0 * denom))
+            bounds[k] = t_fact, t_direct
+    return [(float(t_fact), float(t_direct)) for t_fact, t_direct in bounds]
 
 
 def switch_time(fields) -> float:
@@ -248,8 +254,9 @@ def switch_time(fields) -> float:
 
     Below the returned time the periodized multiplier solution has not yet
     wrapped; above it the chirped profile is resolvable on the grid.  Each
-    distinct input is measured once per window, by the intervals along x and
-    xi that leave mass_tail / 2 of |f|^2 and of |fhat|^2 beyond each end.
+    distinct input is transformed once and measured, for each window, by the
+    intervals along x and xi that leave mass_tail / 2 of |f|^2 and of |fhat|^2
+    beyond each end (one cumulative sum per axis serves every window).
     The direct gauge wraps once the x interval, growing by 2|t| times the xi
     half-width at each end, fills _BOX_MARGIN of the box, wherever the
     intervals sit.  The factored gauge resolves once the chirped frequencies,
@@ -267,13 +274,11 @@ def switch_time(fields) -> float:
     fields = list(fields)
     if not isinstance(fields[0].grid, UniformGrid):
         raise GridMismatchError("switch_time expects spatial-grid functions")
-    bounds = []
-    for band_margin, mass_tail in _WINDOWS:
-        t_fact, t_direct = _gauge_crossover(fields, band_margin, mass_tail)
+    bounds = _gauge_crossover(fields)
+    for t_fact, t_direct in bounds:
         if t_fact < t_direct:
             return float(np.sqrt(t_fact * t_direct)) if t_fact > 0 else 0.5 * t_direct
-        bounds.append(t_fact)
-    finite = [t for t in bounds if np.isfinite(t)]
+    finite = [t for t, _ in bounds if np.isfinite(t)]
     if not finite:
         raise ValueError("no valid gauge crossover: the spectrum reaches the band edge, "
                          "so the factored gauge never resolves; refine the grid")
@@ -389,36 +394,25 @@ class FlowPlan:
         """The t < 0 rows, ascending, that mirror the t >= 0 rows sl of a
         symmetric rule; t = 0 has no mirror, and an asymmetric rule none."""
         m = len(self.tq.nodes)
-        if not self._symmetric:
-            return slice(0, 0)
-        return slice(m - sl.stop, min(m - sl.start, m // 2))
+        return slice(m - sl.stop, min(m - sl.start, m // 2)) if self._symmetric else slice(0, 0)
 
     def _table(self, kind: str, sl: slice) -> np.ndarray:
-        """Rows sl of a phase table (see _phases), on any thread: a view of the
-        kept table, or rows computed afresh on a plan that keeps no tables.
-        The kept rows of sl not yet filled are filled first, under the plan's
-        lock, each t >= 0 row together with its mirror and each run of missing
-        rows in place; a filled row is never written again, so views that
-        other threads hold stay valid."""
-        if not self._keep:
-            return self._phases(kind, sl)
-        m = len(self.tq.nodes)
+        """Rows sl of a kept phase table (see _phases), on any thread.  The
+        rows of sl not yet filled are filled first, under the plan's lock,
+        each run of missing rows in place; a filled row is never written
+        again, so views that other threads hold stay valid."""
         table, filled = self._tables[kind]
         with self._fill_lock:
-            todo = np.arange(m)[sl][~filled[sl]]
-            if self._symmetric:
-                todo = np.unique(np.maximum(todo, m - 1 - todo))
+            todo = np.arange(len(self.tq.nodes))[sl][~filled[sl]]
             runs = np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1) if todo.size else []
             for run in runs:
                 src = slice(int(run[0]), int(run[-1]) + 1)
-                mirror = self._mirror(src)
-                self._phases(kind, src, out=table[src])
-                np.conj(table[src][::-1][:mirror.stop - mirror.start], out=table[mirror])
-                filled[src] = filled[mirror] = True
+                self._phases(kind, src, table[src])
+                filled[src] = True
         return table[sl]
 
-    def _phases(self, kind: str, sl: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows sl of a phase table, into out when given: "flow" e^{it xi^2}
+    def _phases(self, kind: str, sl: slice, out: np.ndarray) -> np.ndarray:
+        """Rows sl of a phase table, written into out: "flow" e^{it xi^2}
         in FFT order, "chirp" (-1)^j e^{-i x_j^2 / 4t}.  An even kind takes
         exponentials on columns 0..n/2 only, copying column n - j from j."""
         t = self.tq.nodes[sl, None]
@@ -429,22 +423,21 @@ class FlowPlan:
             coef, arg = -1j * np.divide(0.25, t, out=np.zeros_like(t), where=t != 0), self._x2
         n = self.grid.n
         h = n // 2 + 1 if self._even[kind] else n
-        z = np.empty((len(t), n), dtype=complex) if out is None else out
-        half = z[:, :h]
+        half = out[:, :h]
         np.multiply(coef, arg[:h], out=half)
         np.exp(half, out=half)
         if kind == "chirp":
             half *= self._sign[:h]
-        z[:, h:] = z[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
-        return z
+        out[:, h:] = out[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
+        return out
 
     def _piece(self, factored: bool, inputs: dict, fields, fn, sl: slice, buffers):
         """fn's results on the rows of a piece's mirror (None when it has none)
         and of the piece sl.  buffers are (row buffer, phase buffer): the rows
-        of every input go through one transform in the row buffer.  A kept
-        plan reads its phase rows through _table; an unkept plan computes them
-        in the phase buffer, conjugates them in place for the mirror and back
-        for sl, which is exact, so the two cost one array of exponentials."""
+        of every input go through one transform in the row buffer.  The phase
+        rows of sl are a view of the kept table, or are computed in the phase
+        buffer on a plan that keeps none; once sl is reduced, their conjugates,
+        which are exact, go into the phase buffer for the mirror rows."""
         row_buf, phase_buf = buffers
         n = self.grid.n
         kind, transform = ("chirp", scipy.fft.fft) if factored else ("flow", scipy.fft.ifft)
@@ -459,17 +452,12 @@ class FlowPlan:
             rows = dict(zip(inputs, buf))
             return fn([rows[id(f)] for f in fields], phases, factored)
 
+        own = phase_buf[:(sl.stop - sl.start) * n].reshape(-1, n)
+        phases = self._table(kind, sl) if self._keep else self._phases(kind, sl, own)
+        out = apply(phases)
         mirror = self._mirror(sl)
         count = mirror.stop - mirror.start
-        if self._keep:
-            mirrored = apply(self._table(kind, mirror)) if count else None
-            return mirrored, apply(self._table(kind, sl))
-        phases = self._phases(kind, sl, phase_buf[:(sl.stop - sl.start) * n].reshape(-1, n))
-        mirrored = None
-        if count:
-            mirrored = apply(np.conj(phases, out=phases)[::-1][:count])
-            np.conj(phases, out=phases)
-        return mirrored, apply(phases)
+        return (apply(np.conj(phases, out=own)[::-1][:count]) if count else None), out
 
     def reduce_blocks(self, fields, switch: float | None, fn):
         """Evolve fields over runs of at most block_rows nodes in one gauge
@@ -485,7 +473,8 @@ class FlowPlan:
         that made them: the flow multiplier e^{it xi^2}, or the chirp of the
         factored gauge.  fn returns arrays whose first axis runs over the
         rows, which the walk joins and yields with the run's nodes.  It may
-        run on any thread of the pool.
+        run on any thread of the pool, and may keep no view of rows or
+        phases: the engine reuses both buffers for the next rows.
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each
@@ -508,8 +497,7 @@ class FlowPlan:
         # there is its own)
         n = self.grid.n
         pieces = _Pieces(min(self.block_rows, m - first), lambda rows: (
-            np.empty(len(distinct) * rows * n, dtype=complex),
-            None if self._keep else np.empty(rows * n, dtype=complex)))
+            np.empty(len(distinct) * rows * n, dtype=complex), np.empty(rows * n, dtype=complex)))
         for a, b in zip(runs[:-1], runs[1:]):
             fac = bool(factored[a])
             piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn)

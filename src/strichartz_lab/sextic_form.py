@@ -137,7 +137,7 @@ def q_spacetime(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
     Conjugate-linear in slots 1-3, linear in slots 4-6; real and nonnegative
     when all six slots carry the same function.
     """
-    for f in (f1, f2, f3, f4, f5, f6):
+    for f in {id(f): f for f in (f1, f2, f3, f4, f5, f6)}.values():
         # sextic pointwise products spread the spectrum sixfold
         if warn_if_aliased(f, band_fraction=1.0 / 6.0, context="q_spacetime"):
             break

@@ -220,7 +220,7 @@ def test_box_filling_pair_switches_past_factored_bound():
     g = sweep_grid(16, 1.0)
     h1 = make_band_limited(g, 0.0, 1.0, "random", 1)
     h2 = make_band_limited(g, 16.0, 32.0, "random", 2)
-    t_fact, t_direct = _gauge_crossover([h1, h2], 0.90, 1e-12)
+    t_fact, t_direct = _gauge_crossover([h1, h2])[0]
     assert t_direct == 0.0 and np.isfinite(t_fact)
     with pytest.warns(AliasingWarning, match="fills the box"):
         assert switch_time([h1, h2]) == 1.2 * t_fact

@@ -8,7 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from strichartz_lab.bilinear import bilinear_l3
+from strichartz_lab.bilinear import (
+    bilinear_l3,
+    make_band_limited,
+    pair_time_quadrature,
+    sweep_grid,
+)
 from strichartz_lab.extremizer import _lambda_with_l6, lambda_apply
 from strichartz_lab.lattice import (
     AliasingWarning,
@@ -259,10 +264,9 @@ def test_direct_horizon_is_covariant_under_translation_and_modulation(grid):
     centred = WaveFunction(grid, values)
     shifted = WaveFunction(UniformGrid(n=grid.n, dx=grid.dx, x0=0.0), values)
     modulated = WaveFunction(grid, values * np.exp(40j * grid.dual().dxi * x))
-    for window in propagator._WINDOWS:
-        t_fact, t_direct = propagator._gauge_crossover([centred], *window)
-        for moved in (shifted, modulated):
-            moved_fact, moved_direct = propagator._gauge_crossover([moved], *window)
+    for moved in (shifted, modulated):
+        for (t_fact, t_direct), (moved_fact, moved_direct) in zip(
+                propagator._gauge_crossover([centred]), propagator._gauge_crossover([moved])):
             assert moved_direct == pytest.approx(t_direct, rel=1e-15, abs=0)
             assert moved_fact > t_fact
     for f in (centred, shifted, modulated):
@@ -280,6 +284,14 @@ def test_switch_time_measures_each_distinct_input_once(grid, gaussian, monkeypat
     monkeypatch.setattr(propagator, "forward_transform", counted)
     assert switch_time([gaussian, g, gaussian, gaussian, g, gaussian]) == switch_time([gaussian, g])
     assert calls == {id(gaussian): 2, id(g): 2}
+    # a pair that fills the box tries both windows, and is transformed once
+    wide = sweep_grid(16, 1.0)
+    h1 = make_band_limited(wide, 0.0, 1.0, "random", seed=1)
+    h2 = make_band_limited(wide, 16.0, 32.0, "random", seed=2)
+    calls.clear()
+    with pytest.warns(AliasingWarning, match="fills the box"):
+        switch_time([h1, h2, h1])
+    assert calls == {id(h1): 1, id(h2): 1}
 
 
 def test_fourier_symmetry_constant_across_inputs(grid, gaussian):
@@ -329,7 +341,13 @@ def test_blocks_visit_every_node_once_on_symmetric_rules(wide_grid, m):
     assert plan.block_rows == 4 and plan._keep == (m < 32)
     for switch in (np.inf, 0.5):
         visited = []
-        for sl, _, (rows,) in plan.blocks([f], switch):
+        for sl, factored, (rows, phases) in plan.reduce_blocks(
+                [f], switch, lambda rows, phases, _: (rows[0].copy(), phases.copy())):
+            # fn gets the phases of its own nodes bit for bit, the conjugates
+            # of a mirror block too, but for the sign of one zero: the chirp's
+            # imaginary part at x = 0, which + 0 makes positive
+            full = _full_row_phases(plan, "chirp" if factored else "flow", sl)
+            assert (phases + 0).tobytes() == (full + 0).tobytes()
             for k, row in zip(range(m)[sl], rows):
                 visited.append(k)
                 one = FlowPlan(wide_grid, TimeQuadrature.single(tq.nodes[k]))
@@ -356,7 +374,7 @@ def _count_phase_rows(plan):
     asked, lock = Counter(), threading.Lock()
     phases = plan._phases
 
-    def counting(kind, sl, out=None):
+    def counting(kind, sl, out):
         with lock:
             asked[kind] += len(range(len(plan.tq.nodes))[sl])
         return phases(kind, sl, out)
@@ -383,7 +401,7 @@ def test_half_row_phases_equal_full_rows_bit_for_bit(grid, even_chirp):
     assert plan._even == {"flow": True, "chirp": even_chirp}
     for kind in ("flow", "chirp"):
         for sl in (slice(0, 33), slice(17, 20)):
-            rows = plan._phases(kind, sl)
+            rows = plan._phases(kind, sl, np.empty((len(plan.tq.nodes[sl]), grid.n), complex))
             assert rows.tobytes() == _full_row_phases(plan, kind, sl).tobytes(), kind
 
 
@@ -412,6 +430,9 @@ def test_kept_tables_serve_lambda_from_half_the_rows(grid):
     first = dict(asked)
     _lambda_with_l6(f, plan)  # a second call reads the kept tables only
     assert asked == first
+    # each piece conjugates its own mirror rows: no table holds a t < 0 row
+    for _, filled in plan._tables.values():
+        assert not filled[plan.tq.nodes < 0].any()
 
 
 def _one_node_sum(value_at, tq):
@@ -516,10 +537,9 @@ def test_flow_plan_alone_picks_the_rule_the_crossover_and_the_pieces():
 
 def _pool_values(grid):
     """Every reduction of the engine, as bytes: bilinear_l3 on an unkept plan
-    (n = 4096, 513 nodes), the ratio, Q and Lambda on the kept default plan,
-    and an L^3 integral of a pair on a kept 65-node plan."""
-    from strichartz_lab.bilinear import make_band_limited, pair_time_quadrature, sweep_grid
-
+    (n = 4096, 513 nodes), the ratio, Q and Lambda on the default plan, and an
+    L^3 integral of a pair on a 65-node plan, the last four kept unless
+    TABLE_BYTES is patched."""
     wide = sweep_grid(16, 1.0)
     h1 = make_band_limited(wide, 0.0, 1.0, "random", seed=1)
     h2 = make_band_limited(wide, 16.0, 32.0, "random", seed=2)
@@ -536,13 +556,18 @@ def _pool_values(grid):
             lambda_apply(f).values.tobytes(), late.real.hex())
 
 
-def test_pooled_engine_equals_one_thread_bit_for_bit(pool, grid):
+def test_pooled_engine_equals_one_thread_bit_for_bit(pool, grid, monkeypatch):
     pool(1)
     inline = _pool_values(grid)
     # two threads, and three, whose pieces of a 16-row block are uneven, and
     # six, where a piece of a shorter block can be longer than the same piece
     # of the widest block
     for threads in (2, 3, 6):
+        pool(threads)
+        assert _pool_values(grid) == inline, threads
+    # plans that keep no table compute each piece's rows in its own buffer
+    monkeypatch.setattr(propagator, "TABLE_BYTES", 0)
+    for threads in (1, 2):
         pool(threads)
         assert _pool_values(grid) == inline, threads
 

@@ -15,7 +15,9 @@ this checkout:
 * ``strichartz_ratio``, ``lambda_apply``, ``omega_of`` and
   ``fourier_symmetry_check`` of (1 + 0.3x) e^{-x^2 + 0.5ix};
 * ``lambda_apply`` of the same profile centred at x = 30 on the box [0, 40)
-  of 1024 points, away from the origin;
+  of 1024 points, away from the origin, and of the profile on the box
+  [-40, 40) of 4096 points, whose 257 x 4096 phase tables exceed
+  ``TABLE_BYTES``, so that the plan keeps none;
 * ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
   on the ``smooth_profile`` sextuple of ``default_rng(4)``;
 * ``calibrate_kappa`` on the Gaussian and the profile above;
@@ -95,6 +97,10 @@ def main(argv=None) -> int:
     xc = box.x - 30.0
     off = lattice.WaveFunction(box, (1 + 0.3 * xc) * np.exp(-xc ** 2 + 0.5j * xc))
     show("lambda[0,40)", extremizer.lambda_apply(off).values)
+    big = lattice.UniformGrid.symmetric(4096, 40.0)
+    xb = big.x
+    show("lambda[unkept]", extremizer.lambda_apply(
+        lattice.WaveFunction(big, (1 + 0.3 * xb) * np.exp(-xb ** 2 + 0.5j * xb))).values)
 
     gauss = lattice.make_gaussian(grid)
     rng = np.random.default_rng(4)
