@@ -110,12 +110,12 @@ def hausdorff_young_density(h1: WaveFunction, h2: WaveFunction) -> float:
         raise ValueError("empty frequency support")
     xi1 = xi[sup1]
     xi2 = xi[sup2]
-    gap = np.abs(xi1[:, None] - xi2[None, :]).min()
-    if gap < f1.grid.dxi / 2:
+    dist = np.abs(xi1[:, None] - xi2[None, :])
+    if dist.min() < f1.grid.dxi / 2:
         raise ValueError("frequency supports overlap; the Jacobian is singular")
     a = m1[sup1] ** 1.5
     b = m2[sup2] ** 1.5
-    ker = np.abs(xi1[:, None] - xi2[None, :]) ** (-0.5)
+    ker = dist ** (-0.5)
     integral = f1.grid.dxi ** 2 * (a[:, None] * ker * b[None, :]).sum()
     return float((2.0 * np.pi) ** (-4.0 / 3.0) * integral ** (2.0 / 3.0))
 
@@ -123,6 +123,8 @@ def hausdorff_young_density(h1: WaveFunction, h2: WaveFunction) -> float:
 def sweep_grid(N: float, s: float, box_half_width: float = 80.0) -> UniformGrid:
     """Grid large enough that the high band 2Ns sits at or below half the
     Nyquist frequency."""
+    if not 0 < box_half_width < np.inf:  # log2 below would fail without naming it
+        raise ValueError(f"box_half_width must be positive and finite, got {box_half_width}")
     target_nyquist = 4.0 * N * s
     n_min = 2.0 * box_half_width * target_nyquist / np.pi
     n = 1 << max(11, math.ceil(math.log2(n_min)))
@@ -146,16 +148,9 @@ class SweepResult:
     def slope_so_far(self) -> list[float]:
         """Cumulative least-squares slope over the first k >= 2 fitted points
         (N > 1), nan for k = 1."""
-        out = []
-        logs = [(np.log(n), np.log(v)) for n, v in zip(self.ns, self.values) if n > 1]
-        for k in range(1, len(logs) + 1):
-            if k < 2:
-                out.append(float("nan"))
-                continue
-            xs = np.array([p[0] for p in logs[:k]])
-            ys = np.array([p[1] for p in logs[:k]])
-            out.append(float(np.polyfit(xs, ys, 1)[0]))
-        return out
+        logs = np.array([(np.log(n), np.log(v)) for n, v in zip(self.ns, self.values) if n > 1])
+        return [float(np.polyfit(logs[:k, 0], logs[:k, 1], 1)[0]) if k > 1 else float("nan")
+                for k in range(1, len(logs) + 1)]
 
 
 def pair_time_quadrature(N: float, s: float) -> TimeQuadrature:

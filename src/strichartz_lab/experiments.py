@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import bilinear as bl
 from . import decay as dc
@@ -341,6 +340,10 @@ def _run_decay_report(config: ExperimentConfig, report: ExperimentReport) -> Non
     s = config.get_float("decay.band_threshold_xi")
     s_grid = config.get_float_list("decay.threshold_list_xi")
     c_grid = config.get_float_list("decay.barrier_c_list")
+    if len(s_grid) < 2:  # o1_strictly_decreasing would compare no pair
+        raise ValueError(f"decay.threshold_list_xi needs at least 2 values, got {len(s_grid)}")
+    if not c_grid:  # g_scan.csv would hold no row
+        raise ValueError("decay.barrier_c_list needs at least 1 value, got 0")
     gate = report.gates
 
     f = lt.make_gaussian(grid)
@@ -554,6 +557,7 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
             shutil.rmtree(created)
         raise ConfigError(str(err)) from err
     elapsed = time.perf_counter() - started
+    import scipy  # for its version alone: the package import loads no scipy module
     report.meta["versions"] = (
         f"python {platform.python_version()}; numpy {np.__version__}; "
         f"scipy {scipy.__version__}"

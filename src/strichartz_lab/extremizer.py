@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .lattice import (
     WaveFunction,
@@ -138,9 +137,9 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
         quintic = quartic * rows
         if factored:
             quintic *= back
-            quintic = scipy.fft.ifft(quintic, axis=-1, overwrite_x=True)
+            np.fft.ifft(quintic, axis=-1, out=quintic)
         else:
-            quintic = scipy.fft.fft(quintic, axis=-1, overwrite_x=True)
+            np.fft.fft(quintic, axis=-1, out=quintic)
         quintic *= np.conj(phases)
         return (quartic * power).sum(axis=-1), quintic
 
@@ -152,7 +151,7 @@ def _lambda_with_l6(f: WaveFunction, plan: FlowPlan) -> tuple[WaveFunction, floa
             spatial += (plan.tq.weights[sl] * (4.0 * np.pi * plan.tq.nodes[sl]) ** -2.0) @ rows
         else:
             spectrum += plan.tq.weights[sl] @ rows
-    return WaveFunction(f.grid, KAPPA * (scipy.fft.ifft(spectrum) + spatial)), float(sixth)
+    return WaveFunction(f.grid, KAPPA * (np.fft.ifft(spectrum) + spatial)), float(sixth)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ def residual_samples(f, n_samples: int, seed: int, sampler_box: float = 3.0) -> 
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not 0 < sampler_box < np.inf:  # a box of 0 samples every point at 0, testing nothing
+        raise ValueError(f"sampler_box must be positive and finite, got {sampler_box}")
     rng = np.random.default_rng(seed)
     ev = _as_evaluator(f)
     xyz = rng.uniform(-sampler_box, sampler_box, size=(n_samples, 3))

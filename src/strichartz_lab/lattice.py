@@ -63,8 +63,9 @@ def warn_at_caller(message: str, category: type[Warning]) -> None:
     warnings.warn(message, category, stacklevel=level)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _check_size(n: int) -> None:
+    if n < 8 or n & (n - 1):
+        raise ValueError(f"n must be a power of two >= 8, got {n}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ class UniformGrid:
     x0: float
 
     def __post_init__(self):
-        if self.n < 8 or not _is_power_of_two(self.n):
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        _check_size(self.n)
         if not (self.dx > 0 and np.isfinite(self.dx)):
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
         if not np.isfinite(self.x0):
@@ -118,8 +118,7 @@ class FrequencyGrid:
     x0_space: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.n < 8 or not _is_power_of_two(self.n):
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        _check_size(self.n)
         if not (self.dxi > 0 and np.isfinite(self.dxi)):
             raise ValueError(f"dxi must be positive and finite, got {self.dxi}")
         if self.x0_space is None:

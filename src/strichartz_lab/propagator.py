@@ -48,14 +48,14 @@ table or computes them in its own phase buffer, evolves every input at those
 rows and then, from their conjugates in that buffer, at their mirror rows,
 and reduces them to per-row results such as row sums; the calling thread
 joins the pieces in node order and applies the quadrature weights once per
-block, as one thread would.  numpy's per-row sums and pocketfft's per-row
-transforms do not depend on how many rows share a call, so every value is
-the same bit for bit on any number of CPUs.  At most one block's rows are in
-flight, in buffers the calling thread allocates once per call.  A kept table
-fills the rows it lacks on first read (FlowPlan._table), under the plan's
-lock and from whichever thread reads them, and never writes a filled row
-again; so pieces, and threads that share one plan, read and fill one table
-at once.
+block, as one thread would.  numpy's per-row sums and numpy.fft's per-row
+transforms, taken in place (out=), do not depend on how many rows share a
+call, so every value is the same bit for bit on any number of CPUs.  At most
+one block's rows are in flight, in buffers the calling thread allocates once
+per call.  A kept table fills the rows it lacks on first read
+(FlowPlan._table), under the plan's lock and from whichever thread reads
+them, and never writes a filled row again; so pieces, and threads that share
+one plan, read and fill one table at once.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
@@ -79,7 +79,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial.legendre import legder, legval
 
 from .lattice import (
@@ -440,13 +439,13 @@ class FlowPlan:
         which are exact, go into the phase buffer for the mirror rows."""
         row_buf, phase_buf = buffers
         n = self.grid.n
-        kind, transform = ("chirp", scipy.fft.fft) if factored else ("flow", scipy.fft.ifft)
+        kind, transform = ("chirp", np.fft.fft) if factored else ("flow", np.fft.ifft)
 
         def apply(phases):
             buf = row_buf[:len(inputs) * phases.size].reshape(len(inputs), -1, n)
             for b, v in zip(buf, inputs.values()):
                 np.multiply(phases, v, out=b)
-            buf = transform(buf, axis=-1, overwrite_x=True)
+            transform(buf, axis=-1, out=buf)
             if factored:
                 buf *= self.phase
             rows = dict(zip(inputs, buf))
@@ -487,7 +486,7 @@ class FlowPlan:
         if switch is None:
             switch = switch_time(fields)
         distinct = {id(f): f.values for f in fields}
-        spectra = {key: scipy.fft.fft(v) for key, v in distinct.items()}
+        spectra = {key: np.fft.fft(v) for key, v in distinct.items()}
         m = len(self.tq.nodes)
         first = m // 2 if self._symmetric else 0
         factored = np.abs(self.tq.nodes) > switch

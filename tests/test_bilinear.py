@@ -12,6 +12,7 @@ from strichartz_lab.bilinear import (
 )
 from strichartz_lab.lattice import (
     AliasingWarning,
+    GridMismatchError,
     UniformGrid,
     WaveFunction,
     forward_transform,
@@ -243,3 +244,20 @@ def test_separation_sweep_matches_recorded_values():
     with pytest.warns(AliasingWarning, match="fills the box"):
         res = separation_sweep(1.0, [8, 16, 32], profile="random", seed=1)
     assert res.values == pytest.approx(SWEEP_RANDOM_VALUES, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # the default grid's frequencies are 2 pi / 40 ~ 0.157 apart
+    pytest.param(lambda g: make_band_limited(g, 0.2, 0.3), ValueError, "no grid frequencies",
+                 id="band-between-frequencies"),
+    pytest.param(lambda g: hausdorff_young_density(
+        make_band_limited(g, 0.0, 1.0),
+        make_band_limited(UniformGrid.symmetric(g.n, 10.0), 4.0, 8.0)),
+        GridMismatchError, "one grid", id="two-grids"),
+    pytest.param(lambda g: hausdorff_young_density(
+        WaveFunction(g, np.zeros(g.n)), make_band_limited(g, 4.0, 8.0)),
+        ValueError, "empty frequency support", id="zero-input"),
+])
+def test_bilinear_refuses_empty_bands_and_mixed_grids(grid, call, error, match):
+    with pytest.raises(error, match=match):
+        call(grid)

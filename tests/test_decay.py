@@ -278,3 +278,34 @@ def test_bootstrap_inequality_chain_strict_for_generic_profile(grid):
     lhs, rhs, _ = _weighted_tail_chain(grid, f)
     assert lhs <= rhs
     assert lhs <= 0.75 * rhs
+
+
+def _spectrum_of(fn):
+    """A frequency-grid function with samples fn(xi)."""
+    dual = FrequencyGrid(n=1024, dxi=0.1)
+    return WaveFunction(dual, fn(dual.xi))
+
+
+@pytest.mark.parametrize("call, outcome", [
+    pytest.param(lambda f: tail_norm_H(f, 2.0, -1.0), "eps must be nonnegative", id="H-eps"),
+    # e^{-x^2}'s spectrum is below the noise floor from |xi| ~ 11.4 on, so
+    # nothing is live beyond s^2 = 16
+    pytest.param(lambda f: tail_norm_H(f, 4.0, 0.0), 0.0, id="H-nothing-live"),
+    pytest.param(lambda f: mu_slope_fit(WaveFunction(f.grid, np.zeros(f.grid.n))),
+                 "zero function", id="fit-zero"),
+    # a spectrum of ones and zeros has no sample in _FIT_RANGE of its peak
+    pytest.param(lambda f: mu_slope_fit(_spectrum_of(lambda xi: 1.0 * (np.abs(xi) < 2.0))),
+                 "no samples inside", id="fit-empty-range"),
+    # |xi| <= 0.1 holds xi = 0 alone on the default grid
+    pytest.param(lambda f: mu_slope_fit(f, window=(0.0, 0.1)), "fewer than 8", id="fit-window"),
+    # a spectrum growing like e^{0.01 xi^2} fits a negative slope
+    pytest.param(lambda f: analytic_extension_probe(
+        _spectrum_of(lambda xi: np.exp(0.01 * xi ** 2)), [1j]),
+        "no positive decay slope", id="probe-growing-spectrum"),
+])
+def test_decay_refusals_and_empty_tail(gaussian, call, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            call(gaussian)
+    else:
+        assert call(gaussian) == outcome

@@ -61,6 +61,15 @@ def test_config_round_trip():
     assert again.entries == cfg.entries
 
 
+@pytest.mark.parametrize("text", [
+    "# leading comment\n\nexperiment = power-sums\npowersums.kmax = 5\n",
+    "experiment = power-sums\n   \n  # indented comment\npowersums.kmax = 5\n\n",
+])
+def test_config_text_skips_blank_and_comment_lines(text):
+    cfg = ExperimentConfig.from_text(text)
+    assert (cfg.experiment, cfg.entries) == ("power-sums", {"powersums.kmax": "5"})
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         default_config("no-such-experiment")
@@ -242,6 +251,27 @@ def test_cli_offers_seed_only_where_the_experiment_has_one(capsys, experiment, s
     ("q-crosscheck", {"crosscheck.n_random_sextuples": "-1"}, [],
      "n_random_sextuples must be at least 1, got -1"),
     ("functional-residual", {"sampler.n_samples": "0"}, [], "n_samples must be at least 1, got 0"),
+    # lists too short for the checks they feed, and boxes that sample
+    # nothing (0) or that numpy cannot use (< 0, inf)
+    ("decay-report", {"decay.threshold_list_xi": ""}, [],
+     "decay.threshold_list_xi needs at least 2 values, got 0"),
+    ("decay-report", {"decay.threshold_list_xi": "2.0"}, [],
+     "decay.threshold_list_xi needs at least 2 values, got 1"),
+    ("decay-report", {"decay.barrier_c_list": ""}, [],
+     "decay.barrier_c_list needs at least 1 value, got 0"),
+    ("functional-residual", {"sampler.box_half_width_x": "-3"}, [],
+     "sampler_box must be positive and finite, got -3.0"),
+    ("functional-residual", {"sampler.box_half_width_x": "0"}, [],
+     "sampler_box must be positive and finite, got 0.0"),
+    ("functional-residual", {"sampler.box_half_width_x": "inf"}, [],
+     "sampler_box must be positive and finite, got inf"),
+    ("bilinear-sweep", {"sweep.box_half_width_x": "0"}, [],
+     "box_half_width must be positive and finite, got 0.0"),
+    ("bilinear-sweep", {"sweep.box_half_width_x": "inf"}, [],
+     "box_half_width must be positive and finite, got inf"),
+    # values that do not parse, named in the error
+    ("sharp-constant", {"grid.half_width_x": "wide"}, [], "'wide'"),
+    ("bilinear-sweep", {"sweep.separation_list": "4,x"}, [], "'4,x'"),
 ])
 def test_cli_refused_config_exits_2_without_output(tmp_path, capsys, experiment, entries,
                                                    args, named):

@@ -246,3 +246,15 @@ def test_trajectory_csv(tmp_path, gaussian, tq):
 def test_lambda_apply_band_edge_raises(band_edge):
     with pytest.warns(AliasingWarning), pytest.raises(ValueError, match="band edge"):
         lambda_apply(band_edge)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda f: omega_of(WaveFunction(f.grid, np.zeros(f.grid.n))), "nonzero",
+                 id="omega-zero"),
+    pytest.param(lambda f: gauge_fix(WaveFunction(f.grid, np.zeros(f.grid.n))), "nonzero",
+                 id="gauge-zero"),
+    pytest.param(lambda f: picard_iterate(f, tol=0.0), "tol must be positive", id="tol-zero"),
+])
+def test_extremizer_refuses_zero_inputs_and_tolerance(gaussian, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(gaussian)

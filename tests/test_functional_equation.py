@@ -11,7 +11,7 @@ from strichartz_lab.functional_equation import (
     quadratic_log_fit,
     residual_statistic,
 )
-from strichartz_lab.lattice import UniformGrid, WaveFunction, make_gaussian
+from strichartz_lab.lattice import UniformGrid, WaveFunction, forward_transform, make_gaussian
 
 PHI = (1 + np.sqrt(5)) / 2
 PSI = (1 - np.sqrt(5)) / 2
@@ -177,3 +177,12 @@ def test_quadratic_log_fit_window_too_small(grid):
     # about 9 samples of e^{-400x^2} lie above LOGFIT_FLOOR of its peak
     with pytest.raises(ValueError, match="need at least 32"):
         quadratic_log_fit(make_gaussian(grid, a=400.0))
+
+
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda g: forward_transform(make_gaussian(g)), "spatial-grid", id="spectrum"),
+    pytest.param(lambda g: WaveFunction(g, np.zeros(g.n)), "zero function", id="zero"),
+])
+def test_quadratic_log_fit_refuses_spectra_and_zero(grid, make, match):
+    with pytest.raises(ValueError, match=match):
+        quadratic_log_fit(make(grid))

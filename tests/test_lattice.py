@@ -299,3 +299,21 @@ def test_fourier_sum_matches_the_dense_sum(grid, seed):
         expected = dense(points, values)
         error = np.abs(_fourier_sum(fhat, points, mask) - expected).max()
         assert error <= bound * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda g: forward_transform(forward_transform(make_gaussian(g))),
+                 GridMismatchError, "spatial-grid", id="forward-of-spectrum"),
+    pytest.param(lambda g: inverse_transform(make_gaussian(g)),
+                 GridMismatchError, "frequency-grid", id="inverse-of-spatial"),
+    pytest.param(lambda g: FrequencyGrid(n=1000, dxi=0.1), ValueError, "got 1000",
+                 id="frequency-n"),
+    pytest.param(lambda g: FrequencyGrid(n=64, dxi=0.0), ValueError, "dxi", id="frequency-dxi"),
+    pytest.param(lambda g: FrequencyGrid(n=64, dxi=np.inf), ValueError, "dxi",
+                 id="frequency-dxi-inf"),
+    pytest.param(lambda g: UniformGrid(n=64, dx=0.1, x0=np.nan), ValueError, "x0", id="x0-nan"),
+    pytest.param(lambda g: UniformGrid(n=64, dx=0.1, x0=-np.inf), ValueError, "x0", id="x0-inf"),
+])
+def test_lattice_refuses_wrong_side_and_bad_grids(grid, call, error, match):
+    with pytest.raises(error, match=match):
+        call(grid)

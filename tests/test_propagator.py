@@ -17,6 +17,7 @@ from strichartz_lab.bilinear import (
 from strichartz_lab.extremizer import _lambda_with_l6, lambda_apply
 from strichartz_lab.lattice import (
     AliasingWarning,
+    GridMismatchError,
     UniformGrid,
     WaveFunction,
     forward_transform,
@@ -649,3 +650,26 @@ def test_piece_exception_reaches_caller_with_no_piece_left_running(pool):
 
     with pytest.raises(ValueError, match="reduction"):
         list(plan.reduce_blocks([make_gaussian(plan.grid)], np.inf, failing))
+
+
+def _other_grid_input(g):
+    other = make_gaussian(UniformGrid.symmetric(g.n, 10.0))
+    return list(FlowPlan(g, TimeQuadrature.single(0.1)).reduce_blocks([other], 0.0, None))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda g: TimeQuadrature([0.0, 1.0], [1.0]), ValueError, "equal length",
+                 id="rule-mismatched"),
+    pytest.param(lambda g: TimeQuadrature([0.0, np.inf], [1.0, 1.0]), ValueError, "finite",
+                 id="rule-non-finite"),
+    pytest.param(lambda g: TimeQuadrature.compactified(rate=0.0), ValueError, "rate",
+                 id="rate-zero"),
+    pytest.param(lambda g: switch_time(forward_transform(make_gaussian(g))),
+                 GridMismatchError, "spatial-grid", id="switch-of-spectrum"),
+    pytest.param(lambda g: FlowPlan(g.dual()), GridMismatchError, "spatial grid",
+                 id="plan-of-frequency-grid"),
+    pytest.param(_other_grid_input, GridMismatchError, "plan's grid", id="input-on-other-grid"),
+])
+def test_flow_engine_refuses_bad_rules_and_grids(grid, call, error, match):
+    with pytest.raises(error, match=match):
+        call(grid)

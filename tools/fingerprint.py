@@ -14,6 +14,9 @@ this checkout:
   the final state, its ratio and the number of states;
 * ``strichartz_ratio``, ``lambda_apply``, ``omega_of`` and
   ``fourier_symmetry_check`` of (1 + 0.3x) e^{-x^2 + 0.5ix};
+* ``forward_transform`` of that profile, and its ``evolve`` at t = 0.3 and
+  t = 3 (the one-node rule, walked in ascending order), so that a change of
+  FFT library or transform convention shows even where no functional moves;
 * ``lambda_apply`` of the same profile centred at x = 30 on the box [0, 40)
   of 1024 points, away from the origin, and of the profile on the box
   [-40, 40) of 4096 points, whose 257 x 4096 phase tables exceed
@@ -21,7 +24,8 @@ this checkout:
 * ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
   on the ``smooth_profile`` sextuple of ``default_rng(4)``;
 * ``calibrate_kappa`` on the Gaussian and the profile above;
-* ``separation_sweep(1, [4, 8], "random", 3)``: values and bounds;
+* ``separation_sweep(1, [4, 8], "random", 3)``: values, bounds and
+  cumulative slopes;
 * ``switch_time`` of the profile above on the default box and at x = 30 on
   [0, 40), of ``picard_start`` seed 1 after ``gauge_fix``, of the sextuple
   above and of the seed-3 N = 4 sweep pair, so that a move of the gauge
@@ -88,6 +92,9 @@ def main(argv=None) -> int:
 
     x = grid.x
     f = lattice.WaveFunction(grid, (1 + 0.3 * x) * np.exp(-x ** 2 + 0.5j * x))
+    show("forward_transform", lattice.forward_transform(f).values)
+    for t in (0.3, 3.0):
+        show(f"evolve[{t}]", propagator.evolve(f, t).values)
     show("ratio", propagator.strichartz_ratio(f))
     show("lambda", extremizer.lambda_apply(f).values)
     show("omega", extremizer.omega_of(f))
@@ -115,6 +122,7 @@ def main(argv=None) -> int:
     sweep = bilinear.separation_sweep(1, [4, 8], "random", 3)
     show("sweep.values", np.array(sweep.values))
     show("sweep.bounds", np.array(sweep.bounds))
+    show("sweep.slopes", np.array(sweep.slope_so_far()))
 
     wide = bilinear.sweep_grid(4, 1.0)
     pair = [bilinear.make_band_limited(wide, 0.0, 1.0, "random", 3),
