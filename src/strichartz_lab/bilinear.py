@@ -123,8 +123,10 @@ def hausdorff_young_density(h1: WaveFunction, h2: WaveFunction) -> float:
 def sweep_grid(N: float, s: float, box_half_width: float = 80.0) -> UniformGrid:
     """Grid large enough that the high band 2Ns sits at or below half the
     Nyquist frequency."""
-    if not 0 < box_half_width < np.inf:  # log2 below would fail without naming it
-        raise ValueError(f"box_half_width must be positive and finite, got {box_half_width}")
+    # log2 below would fail without naming the value
+    for name, value in (("N", N), ("s", s), ("box_half_width", box_half_width)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     target_nyquist = 4.0 * N * s
     n_min = 2.0 * box_half_width * target_nyquist / np.pi
     n = 1 << max(11, math.ceil(math.log2(n_min)))

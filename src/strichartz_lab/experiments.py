@@ -405,6 +405,7 @@ def _run_q_crosscheck(config: ExperimentConfig, report: ExperimentReport) -> Non
         _record(report.results, f"kappa_ratio_{i}", float(r))
     _record(report.results, "kappa_spread", spread)
     _record(report.results, "quadrature_outer_points_per_panel", sx.N_OUTER)
+    # trapezoid points on the full constraint circle, a multiple of 3
     _record(report.results, "quadrature_angular_points", sx.N_PHI)
     _record(report.results, "time_nodes", len(tq.nodes))
     report.checks["kappa_constant_across_inputs"] = spread <= report.gates["kappa_spread_tol"]

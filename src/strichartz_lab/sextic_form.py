@@ -16,20 +16,28 @@ independent evaluation routes cross-validate each other:
   KAPPA = (2 pi)^4 exactly under the conventions of this package; the value
   is also pinned numerically by calibrate_kappa before being frozen here.
 
-* q_quadrature: direct quadrature of the constraint-set integral.  The two
-  deltas are resolved in (xi_5, xi_6): given the free variables, the pair is
-  the root set of z^2 - S z + (S^2 - T)/2 with S and T the residual sum and
-  square sum, contributing both orderings with weight 1/(2 |xi_5 - xi_6|).
-  The root-gap singularity at the discriminant boundary is removed exactly
-  by parametrizing xi_4 by the angle on the constraint circle:
-  xi_4 = sigma/3 + h sin(phi), under which d(xi_4) / (2 sqrt(2T - S^2))
-  becomes d(phi) / (2 sqrt 3) with the roots at
-  (sigma - xi_4)/2 +- (sqrt 3 / 2) h cos(phi).  Factors are read off
-  each input's frequency samples through lattice's off-grid route, the
-  per-cell Taylor table of their quintic spline; this module adds only the
-  band-gap rule (_hat_spline), under which cells touching an exact zero
-  sample read zero.  Tables at the same points share one lookup, and an
-  input in both root slots is evaluated once per root.
+* q_quadrature: direct quadrature of the constraint-set integral.  Given the
+  outer frequencies, with sigma and tau their sum and square sum, the inner
+  triple (xi_4, xi_5, xi_6) ranges over the circle
+      sigma/3 + h (sin theta, sin(theta + 2pi/3), sin(theta - 2pi/3)),
+  h = sqrt((2 tau - 2 sigma^2/3) / 3), on which the two deltas leave the
+  measure d(theta) / (2 sqrt 3): the root-gap singularity of resolving them
+  in (xi_5, xi_6) is gone, and each ordering of the roots is the point at
+  pi - theta.  The integrand is smooth and periodic in theta, so the circle
+  takes the n_phi-point trapezoid rule theta_j = pi/2 + 2 pi j / n_phi.  The
+  rule has two exact symmetries: when 3 divides n_phi the rotation by 2pi/3,
+  which moves each inner slot to the next, maps nodes onto nodes, and the
+  reflection theta -> pi - theta pairs them up.  So all three inner slots
+  read the same n_phi // 2 + 1 points sigma/3 + h cos(2 pi m / n_phi), and
+  node j reads points c(j), c(j + n_phi/3) and c(j - n_phi/3), c folding an
+  index into 0 .. n_phi // 2.  n_phi must therefore be a positive multiple
+  of 3, and the value is symmetric in the inner slots up to rounding, as
+  the continuum is.  Factors are read off each input's frequency samples
+  through lattice's off-grid route, the per-cell Taylor table of their
+  quintic spline; this module adds only the band-gap rule (_hat_spline),
+  under which cells touching an exact zero sample read zero.  Each node
+  triple looks its points up once and reads each distinct inner input's
+  table there once.
 
   The circle integral over (xi_4, xi_5, xi_6) depends on the outer
   frequencies only through sigma = xi_1+xi_2+xi_3 and
@@ -42,12 +50,12 @@ independent evaluation routes cross-validate each other:
 
   The circle integrals run on the flow engine's threads.  The calling thread
   builds the tables, the outer rules and one index array of all
-  representatives, takes it in rounds of at most BLOCK_ENTRIES circle points
+  representatives, takes it in rounds of at most BLOCK_ENTRIES circle nodes
   (whole triples), and runs each round through the engine's piece helper
   (propagator._Pieces), one contiguous piece per thread.  A piece evaluates
-  its circle points in slab arrays that the helper has the calling thread
-  allocate once per call, one set per piece, and that every round reuses; it
-  writes one contribution per triple.  The calling thread sums the
+  its circle points and nodes in slab arrays that the helper has the calling
+  thread allocate once per call, one set per piece, and that every round
+  reuses; it writes one contribution per triple.  The calling thread sums the
   contributions of each round as one contiguous array, and adds those sums
   in round order.  All other arithmetic is elementwise, so q_quadrature and
   m_weighted depend on the round size BLOCK_ENTRIES // n_phi, but are the
@@ -87,7 +95,8 @@ __all__ = [
 KAPPA = (2.0 * np.pi) ** 4
 
 #: Gauss-Legendre points per support panel on each outer axis of the
-#: constraint-set quadrature, and on its angular axis
+#: constraint-set quadrature, and trapezoid points on its full circle (a
+#: multiple of 3)
 N_OUTER = 48
 N_PHI = 48
 
@@ -202,13 +211,13 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
                            w: WeightParams | None = None) -> complex:
     """Shared engine for q_quadrature and m_weighted.
 
-    fs holds the six inputs: slots 0-2 are the outer tensor directions, slot
-    3 the angular variable, slots 4-5 the constraint roots.  Each distinct
-    input object gets one _hat_spline table; factors are conjugated in slots
-    0-2.  With a weight w, all factors are taken in absolute value instead
-    and exp(F(eta_1) - F(eta_2) - .. - F(eta_6)) multiplies the integrand.
-    With one object in slots 4-5 the pairing e(p) e(q) + e(q) e(p) comes
-    from its two evaluations, bit for bit what two copies give.
+    fs holds the six inputs: slots 0-2 are the outer tensor directions,
+    slots 3-5 the inner ones, read on the circle of the module docstring at
+    nodes j, j + n_phi/3 and j - n_phi/3.  Each distinct input object gets
+    one _hat_spline table, and each distinct inner input one read of it per
+    node triple; factors are conjugated in slots 0-2.  With a weight w, all
+    factors are taken in absolute value instead and
+    exp(F(eta_1) - F(eta_2) - .. - F(eta_6)) multiplies the integrand.
 
     The circle integral depends on the outer node triple only through
     (sigma, tau), so it is evaluated once per orbit of triples under the
@@ -218,10 +227,11 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     within every class of equal slots, and the circle integral there is
     multiplied by sum_pi prod_s wf_s(x_pi(s)) / |stabilizer of the triple|,
     with wf_s the outer weight times the outer factor of slot s.  The weight
-    exponent splits into an outer part per permutation and an inner part per
-    circle point; the largest outer part is moved to the inner side, so both
-    exponentials stay <= 1 (the full exponent is <= 0 on the constraint set)
-    and no overflow meets an underflow.
+    exponent splits into an outer part per permutation and an inner part
+    per circle node, -F(x_a) - F(x_b) - F(x_c), gathered from F at the
+    shared points; the largest outer part is moved to the inner side, so
+    both exponentials stay <= 1 (the full exponent is <= 0 on the
+    constraint set) and no overflow meets an underflow.
 
     Tables, outer rules and outer factors are built on the calling thread,
     and so is reps, the (3, count) index array of the representatives in C
@@ -229,13 +239,17 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     unshared triples of one panel per axis).  Each round is the view of the
     next BLOCK_ENTRIES // n_phi columns of reps, which propagator._Pieces
     runs as one contiguous piece per pool thread.  A piece evaluates its
-    circle points in its own slab, allocated once per call and reused by
-    every round through out=, and writes one contribution per triple to the
-    per-call array sums.  Each round's contributions are
+    circle points and nodes in its own slab, allocated once per call and
+    reused by every round through out=, and writes one contribution per
+    triple to the per-call array sums.  Each round's contributions are
     summed as one contiguous array, in round order.  So the value depends on
     the round size, not on the pieces, and is the same bit for bit on any
     number of CPUs.
     """
+    if n_phi < 1:
+        raise ValueError(f"n_phi needs at least one node, got {n_phi}")
+    if n_phi % 3:
+        raise ValueError(f"n_phi must be a multiple of 3, got {n_phi}")
     distinct = {id(f): f for f in fs}
     tables = {key: _hat_spline(f) for key, f in distinct.items()}
     fhats = [tables[id(f)][1] for f in fs]
@@ -243,16 +257,21 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     if any(fh.grid != grid for fh in fhats):
         raise GridMismatchError("all inputs must share one grid")
     axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
-    t1, t2, t3, t4, t5, t6 = (tables[id(f)][0] for f in fs)
     absolute = w is not None
-    one_root_input = fs[4] is fs[5]
 
-    pz, pw = _legendre(n_phi)
-    wphi = 0.5 * np.pi * pw
-    sin_phi, cos_phi = np.sin(0.5 * np.pi * pz), np.cos(0.5 * np.pi * pz)
+    # the circle's points sigma/3 + h cos(2 pi m / n_phi), m = 0 .. n_phi // 2,
+    # and the point each inner slot reads at node j: c(j), c(j + n_phi/3) and
+    # c(j - n_phi/3), with c folding an index into 0 .. n_phi // 2
+    n_pts = n_phi // 2 + 1
+    cos_m = np.cos(2.0 * np.pi / n_phi * np.arange(n_pts))
+    j = np.arange(n_phi)
+    reads = [(id(f), np.minimum((j + k) % n_phi, (-j - k) % n_phi))
+             for f, k in zip(fs[3:], (0, n_phi // 3, -(n_phi // 3)))]
+    inner = {key: tables[key][0] for key, _ in reads}
+    step = 2.0 * np.pi / n_phi / (2.0 * np.sqrt(3.0))
 
     nodes = [ax[0] for ax in axes]
-    outer_vals = [_interpolate(t, _cells(grid, x)) for t, x in zip((t1, t2, t3), nodes)]
+    outer_vals = [_interpolate(tables[id(f)][0], _cells(grid, x)) for f, x in zip(fs, nodes)]
     outer = [ax[1] * (np.abs(v) if absolute else np.conj(v)) for ax, v in zip(axes, outer_vals)]
     if absolute:
         signed_f = [weight(nodes[0], w), -weight(nodes[1], w), -weight(nodes[2], w)]
@@ -267,18 +286,18 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
             keep &= ix[a] <= ix[b]
     reps = np.stack(np.nonzero(keep))
 
-    # triples per round, a round's contributions, and each piece's slab
+    # triples per round, a round's contributions, and each piece's slab:
+    # per triple, n_pts entries for the points and n_phi for the nodes
     rows = max(1, min(BLOCK_ENTRIES // n_phi, reps.shape[1]))
     value = float if absolute else complex
-    slab = {"xi4": float, "p": float, "q": float, "gap": float,
-            "c4": np.intp, "cp": np.intp, "cq": np.intp,
-            "v4": value, "a": value, "b": value, "scratch": complex}
-    if not one_root_input:
-        slab["c"] = value
+    slab = {"x": (n_pts, float), "col": (n_pts, np.intp), "scratch": (n_pts, complex),
+            "integrand": (n_phi, value), "term": (n_phi, value)}
+    slab.update({key: (n_pts, value) for key in inner})   # keyed by input id
     if absolute:
-        slab.update(factor=float, wx=float, z=complex)
-    pieces = _Pieces(rows, lambda count: {name: np.empty(count * n_phi, dtype)
-                                          for name, dtype in slab.items()})
+        slab.update(z=(n_pts, complex), wx=(n_pts, float), tmp=(n_pts, float),
+                    factor=(n_phi, float))
+    pieces = _Pieces(rows, lambda count: {name: np.empty(count * width, dtype)
+                                          for name, (width, dtype) in slab.items()})
     sums = np.empty(rows, dtype=value)
 
     def piece(idx, out, bufs):
@@ -286,57 +305,46 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
         count = idx.shape[1]
 
         def buf(name):
-            return bufs[name][:count * n_phi].reshape(count, n_phi)
-
-        def values(table, cells, name):
-            if absolute:
-                vals = _interpolate(table, cells, out=(buf("z"), buf("scratch")))
-                return np.abs(vals, out=buf(name))
-            return _interpolate(table, cells, out=(buf(name), buf("scratch")))
+            return bufs[name][:count * slab[name][0]].reshape(count, slab[name][0])
 
         x1, x2, x3 = (x[ix] for x, ix in zip(nodes, idx))
         sigma = x1 + x2 + x3
         tau = x1 ** 2 + x2 ** 2 + x3 ** 2
         h = np.sqrt(np.maximum(2.0 * tau - 2.0 * sigma ** 2 / 3.0, 0.0) / 3.0)
-        xi4 = np.multiply(h[:, None], sin_phi, out=buf("xi4"))
-        xi4 += sigma[:, None] / 3.0
-        half_gap = np.multiply((0.5 * np.sqrt(3.0) * h)[:, None], cos_phi, out=buf("gap"))
-        q = np.subtract(sigma[:, None], xi4, out=buf("q"))
-        q *= 0.5
-        p = np.add(q, half_gap, out=buf("p"))
-        q -= half_gap
+        pts = np.multiply(h[:, None], cos_m, out=buf("x"))
+        pts += sigma[:, None] / 3.0
         orbit = [tuple(idx[pi[s]] for s in range(3)) for pi in perms]
         weights = [outer[0][a] * outer[1][b] * outer[2][c] for a, b, c in orbit]
         if absolute:
             exponents = [signed_f[0][a] + signed_f[1][b] + signed_f[2][c] for a, b, c in orbit]
             shift = np.maximum.reduce(exponents)
             weights = [wt * np.exp(e - shift) for wt, e in zip(weights, exponents)]
-            factor = np.subtract(shift[:, None], _weight(xi4, w, buf("wx"), half_gap),
-                                 out=buf("factor"))
-            factor -= _weight(p, w, buf("wx"), half_gap)
-            factor -= _weight(q, w, buf("wx"), half_gap)
+            f_pts = _weight(pts, w, buf("wx"), buf("tmp"))
+            factor = buf("factor")
+            factor[:] = shift[:, None]
+            for _, c in reads:
+                factor -= np.take(f_pts, c, axis=1, out=buf("term"), mode="wrap")
             np.exp(factor, out=factor)
         stabilizer = sum((a == idx[0]) & (b == idx[1]) & (c == idx[2]) for a, b, c in orbit)
-        # each lookup overwrites its points with their offsets
-        at_4 = _cells(grid, xi4, out=(buf("c4"), xi4))
-        at_p = _cells(grid, p, out=(buf("cp"), p))
-        at_q = _cells(grid, q, out=(buf("cq"), q))
-        integrand = values(t4, at_4, "v4")
-        pairing = values(t5, at_p, "a")
-        pairing *= values(t6, at_q, "b")
-        if one_root_input:
-            pairing += pairing
-        else:
-            crossed = values(t5, at_q, "b")
-            crossed *= values(t6, at_p, "c")
-            pairing += crossed
-        integrand *= pairing
+        # one lookup overwrites the points with their offsets; one table read
+        # per distinct inner input
+        at = _cells(grid, pts, out=(buf("col"), pts))
+        vals = {}
+        for key, table in inner.items():
+            if absolute:
+                vals[key] = np.abs(_interpolate(table, at, out=(buf("z"), buf("scratch"))),
+                                   out=buf(key))
+            else:
+                vals[key] = _interpolate(table, at, out=(buf(key), buf("scratch")))
+        # the indices are in range; take's default mode, raise, would fill a
+        # temporary and copy it to out
+        (key, c), *rest = reads
+        integrand = np.take(vals[key], c, axis=1, out=buf("integrand"), mode="wrap")
+        for key, c in rest:
+            integrand *= np.take(vals[key], c, axis=1, out=buf("term"), mode="wrap")
         if absolute:
             integrand *= factor
-        integrand *= wphi
-        np.multiply(sum(weights) / stabilizer,
-                    integrand.sum(axis=-1) / (2.0 * np.sqrt(3.0)),
-                    out=out)
+        np.multiply(sum(weights) / stabilizer, integrand.sum(axis=-1) * step, out=out)
 
     total = 0.0 + 0.0j
     for start in range(0, reps.shape[1], rows):
@@ -352,8 +360,11 @@ def q_quadrature(f1: WaveFunction, f2: WaveFunction, f3: WaveFunction,
                  n_outer: int = N_OUTER, n_phi: int = N_PHI) -> complex:
     """Q evaluated directly on the constraint set (see module docstring).
 
-    Agrees with q_spacetime to quadrature tolerance; the two routes are
-    mutually independent oracles.
+    n_outer Gauss-Legendre nodes per support panel on each outer axis, and
+    the n_phi-point trapezoid rule on the full constraint circle; n_phi must
+    be a positive multiple of 3, so that the rotation between the inner slots
+    maps nodes onto nodes.  Agrees with q_spacetime to quadrature tolerance;
+    the two routes are mutually independent oracles.
     """
     return _constraint_quadrature((f1, f2, f3, f4, f5, f6), n_outer, n_phi)
 
@@ -365,9 +376,11 @@ def m_weighted(h1: WaveFunction, h2: WaveFunction, h3: WaveFunction,
 
     Inputs live on the frequency grid.  The integrand is
     exp(F(eta_1) - sum_{k>=2} F(eta_k)) prod |h_k(eta_k)| against the same
-    constraint measure as q_quadrature.  On the constraint set
+    constraint measure as q_quadrature, on the same rules: n_phi must be a
+    positive multiple of 3.  On the constraint set
     eta_1^2 <= eta_2^2 + .. + eta_6^2, so the exponential factor is <= 1 and
-    the weighted form never exceeds the unweighted one.
+    the weighted form never exceeds the unweighted one.  Like the continuum
+    form, the value is symmetric in slots 4-6 (up to rounding).
     """
     hs = (h1, h2, h3, h4, h5, h6)
     if not all(isinstance(h.grid, FrequencyGrid) for h in hs):

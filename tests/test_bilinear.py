@@ -257,7 +257,17 @@ def test_separation_sweep_matches_recorded_values():
     pytest.param(lambda g: hausdorff_young_density(
         WaveFunction(g, np.zeros(g.n)), make_band_limited(g, 4.0, 8.0)),
         ValueError, "empty frequency support", id="zero-input"),
+    # log2 of N s <= 0 failed with "math domain error", naming neither
+    pytest.param(lambda g: separation_sweep(0.0, [4]), ValueError,
+                 "s must be positive and finite, got 0.0", id="s-zero"),
+    pytest.param(lambda g: separation_sweep(1.0, [0.0, 4]), ValueError,
+                 "N must be positive and finite, got 0.0", id="N-zero"),
+    pytest.param(lambda g: sweep_grid(-4.0, -1.0), ValueError,
+                 "N must be positive and finite, got -4.0", id="N-negative"),
+    pytest.param(lambda g: sweep_grid(4.0, np.inf), ValueError,
+                 "s must be positive and finite, got inf", id="s-infinite"),
 ])
 def test_bilinear_refuses_empty_bands_and_mixed_grids(grid, call, error, match):
     with pytest.raises(error, match=match):
         call(grid)
+

@@ -272,6 +272,10 @@ def test_cli_offers_seed_only_where_the_experiment_has_one(capsys, experiment, s
     # values that do not parse, named in the error
     ("sharp-constant", {"grid.half_width_x": "wide"}, [], "'wide'"),
     ("bilinear-sweep", {"sweep.separation_list": "4,x"}, [], "'4,x'"),
+    # bands that are not positive, which sweep_grid refuses by name
+    ("bilinear-sweep", {"sweep.band_scale_xi": "0"}, [], "s must be positive and finite, got 0.0"),
+    ("bilinear-sweep", {"sweep.separation_list": "0,4"}, [],
+     "N must be positive and finite, got 0.0"),
 ])
 def test_cli_refused_config_exits_2_without_output(tmp_path, capsys, experiment, entries,
                                                    args, named):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -125,15 +126,24 @@ def test_permutation_symmetry_spacetime(grid, rng, tq):
 def test_permutation_symmetry_quadrature(grid, rng):
     f = [random_band_limited(grid, rng) for _ in range(6)]
     base = q_quadrature(*f)
-    # swaps inside the outer tensor slots and inside the root pair are exact
+    # swaps inside the outer tensor slots are exact
     swapped_123 = q_quadrature(f[1], f[0], f[2], f[3], f[4], f[5])
-    swapped_56 = q_quadrature(f[0], f[1], f[2], f[3], f[5], f[4])
     assert abs(base - swapped_123) <= 1e-12 * abs(base)
-    assert abs(base - swapped_56) <= 1e-12 * abs(base)
-    # slot 4 plays the angular role; swapping it across the pair is exact only
-    # in the continuum, so agreement is at quadrature accuracy
-    swapped_45 = q_quadrature(f[0], f[1], f[2], f[4], f[3], f[5])
-    assert abs(base - swapped_45) <= 1e-2 * abs(base)
+    # the circle rule maps its nodes onto themselves under the rotation by
+    # 2 pi / 3 and the reflection that permute the inner slots, so every order
+    # of slots 4-6 sums the same terms, in another order (the Gauss-Legendre
+    # rule in one angle spread them by 2.4e-9)
+    for order in permutations(f[3:]):
+        assert abs(q_quadrature(*f[:3], *order) - base) <= 1e-13 * abs(base), order
+
+
+def test_m_weighted_symmetric_in_the_inner_slots(grid, rng):
+    h = [forward_transform(random_band_limited(grid, rng)) for _ in range(6)]
+    w = WeightParams(0.05, 0.2)
+    base = m_weighted(*h, w, n_outer=24, n_phi=24)
+    # three distinct inner inputs (the Gauss-Legendre rule spread them by 3.1e-4)
+    for order in permutations(h[3:]):
+        assert abs(m_weighted(*h[:3], *order, w, n_outer=24, n_phi=24) - base) <= 1e-13 * base
 
 
 def _lookup_points(monkeypatch, fields, n):
@@ -149,18 +159,19 @@ def _lookup_points(monkeypatch, fields, n):
 
 
 def test_quadrature_circle_once_per_orbit(grid, rng, monkeypatch):
-    # each of the three outer slots looks up its 8 nodes; xi_4 and the two
-    # roots are looked up at every circle point, 8 angles per node triple
+    # each of the three outer slots looks up its 9 nodes; each node triple
+    # looks up the 5 points its 9-point circle rule reads, in all three inner
+    # slots
     g = make_gaussian(grid)
-    _, points = _lookup_points(monkeypatch, [g] * 6, 8)
-    assert points == 3 * 8 + 3 * math.comb(10, 3) * 8     # sorted triples, not 8^3
+    _, points = _lookup_points(monkeypatch, [g] * 6, 9)
+    assert points == 3 * 9 + math.comb(11, 3) * 5     # sorted triples, not 9^3
     f = random_band_limited(grid, rng)
     values = []
     for odd in range(3):
         outer = [f] * 3
         outer[odd] = g
-        q, points = _lookup_points(monkeypatch, outer + [g] * 3, 8)
-        assert points == 3 * 8 + 3 * (8 * math.comb(9, 2)) * 8   # one sorted pair
+        q, points = _lookup_points(monkeypatch, outer + [g] * 3, 9)
+        assert points == 3 * 9 + (9 * math.comb(10, 2)) * 5   # one sorted pair
         values.append(q)
     assert max(abs(q - values[0]) for q in values) <= 1e-13 * abs(values[0])
 
@@ -172,7 +183,7 @@ def _quadrature_values(grid):
     14 full rounds and one of 490.  The random sextuple at (24, 24) has 24^3,
     in passes of 576 that straddle rounds; the shared-nodes sextuple has
     2600, less than one round.  m_weighted runs the absolute path with one
-    root input and with two."""
+    distinct inner input and with two."""
     rng = np.random.default_rng(4)
     gaussian = [make_gaussian(grid)] * 6
     sextuple = [random_band_limited(grid, rng) for _ in range(6)]
@@ -249,8 +260,8 @@ def test_constraint_support_inequality(rng):
 
 def test_m_weighted_mu_zero_is_unweighted(grid):
     g = forward_transform(make_gaussian(grid))
-    m0 = m_weighted(g, g, g, g, g, g, WeightParams(0.0, 0.0), n_outer=32, n_phi=32)
-    m0_eps = m_weighted(g, g, g, g, g, g, WeightParams(0.0, 5.0), n_outer=32, n_phi=32)
+    m0 = m_weighted(g, g, g, g, g, g, WeightParams(0.0, 0.0), n_outer=32, n_phi=33)
+    m0_eps = m_weighted(g, g, g, g, g, g, WeightParams(0.0, 5.0), n_outer=32, n_phi=33)
     assert m0 == pytest.approx(m0_eps, rel=1e-12)
     # unweighted absolute form of the Gaussian equals the closed-form value
     assert m0 == pytest.approx(GAUSSIAN_Q_EXACT, rel=1e-3)
@@ -277,9 +288,19 @@ def test_m_weighted_finite_where_the_outer_weight_overflows(grid):
     # F(xi) = xi^2 reaches 4800 on this spectrum, so e^{F(eta_1)} alone
     # overflows; the whole exponent is <= 0 on the constraint set
     h = forward_transform(make_gaussian(grid, a=40.0))
-    m = m_weighted(h, h, h, h, h, h, WeightParams(1.0, 0.0), n_outer=8, n_phi=8)
-    m0 = m_weighted(h, h, h, h, h, h, WeightParams(0.0, 0.0), n_outer=8, n_phi=8)
+    m = m_weighted(h, h, h, h, h, h, WeightParams(1.0, 0.0), n_outer=8, n_phi=9)
+    m0 = m_weighted(h, h, h, h, h, h, WeightParams(0.0, 0.0), n_outer=8, n_phi=9)
     assert 0 < m < m0
+
+
+@pytest.mark.parametrize("n_phi, match", [(8, "n_phi must be a multiple of 3, got 8"),
+                                           (47, "n_phi must be a multiple of 3, got 47"),
+                                           (-3, "n_phi needs at least one node, got -3")])
+def test_circle_rule_needs_a_positive_multiple_of_three(gaussian, n_phi, match):
+    # the rotation by 2 pi / 3 between the inner slots maps nodes onto nodes
+    # only when 3 divides n_phi
+    with pytest.raises(ValueError, match=match):
+        q_quadrature(*[gaussian] * 6, n_phi=n_phi)
 
 
 def test_m_weighted_requires_frequency_grid(gaussian):
@@ -331,7 +352,7 @@ def test_m_weighted_requires_one_grid(grid):
     g = forward_transform(make_gaussian(grid))
     other = forward_transform(make_gaussian(UniformGrid.symmetric(n=512, half_width=20.0)))
     with pytest.raises(GridMismatchError):
-        m_weighted(g, g, g, g, g, other, WeightParams(0.0, 0.0), n_outer=8, n_phi=8)
+        m_weighted(g, g, g, g, g, other, WeightParams(0.0, 0.0), n_outer=8, n_phi=9)
 
 
 def test_support_panels_merge_split_and_zero(grid):

@@ -24,6 +24,9 @@ this checkout:
 * ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
   on the ``smooth_profile`` sextuple of ``default_rng(4)``;
 * ``calibrate_kappa`` on the Gaussian and the profile above;
+* ``m_weighted(48, 48)`` of the bootstrap tail chain on the Gaussian, the
+  call of ``tests/test_decay.py``'s ``_weighted_tail_chain``: the absolute
+  path of the constraint-set quadrature, with a weight;
 * ``separation_sweep(1, [4, 8], "random", 3)``: values, bounds and
   cumulative slopes;
 * ``switch_time`` of the profile above on the default box and at x = 30 on
@@ -118,6 +121,12 @@ def main(argv=None) -> int:
     ratios, spread = sextic_form.calibrate_kappa([gauss, f])
     show("kappa.ratios", ratios)
     show("kappa.spread", spread)
+    unit = lattice.WaveFunction(grid, gauss.values / lattice.lp_norm(gauss, 2))
+    fhat = lattice.forward_transform(unit)
+    w = sextic_form.WeightParams(2.0 ** -4, 1.0)
+    h = lattice.WaveFunction(fhat.grid, np.exp(sextic_form.weight(fhat.grid.xi, w)) * fhat.values)
+    h_gt = lattice.WaveFunction(fhat.grid, np.where(np.abs(fhat.grid.xi) >= 4.0, h.values, 0.0))
+    show("m_weighted[tail-chain]", sextic_form.m_weighted(h_gt, h, h, h, h, h, w, 48, 48))
 
     sweep = bilinear.separation_sweep(1, [4, 8], "random", 3)
     show("sweep.values", np.array(sweep.values))
