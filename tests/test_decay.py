@@ -259,14 +259,22 @@ def test_bootstrap_inequality_chain_saturates_for_gaussian(grid, gaussian):
     assert lhs == pytest.approx(rhs, rel=0.3)
 
 
-#: m_weighted(h_gt, h, .., h) of _weighted_tail_chain on the Gaussian at
-#: commit 3204666, whose quadrature evaluated the splines point by point
-TAIL_CHAIN_M_GAUSSIAN = 0.024797993668923764
+#: m_weighted(h_gt, h, .., h) of _weighted_tail_chain on the Gaussian, on the
+#: 48-point trapezoid rule of the full constraint circle
+TAIL_CHAIN_M_GAUSSIAN = 0.02479799362871323
+#: the same at commit 823441d, on 48 Gauss-Legendre nodes in one angle on half
+#: the circle.  The trapezoid rule moved the value by 1.62e-9 of itself; the
+#: two rules sit 1.5e-9 and 9e-11 from their common limit (400 Gauss-Legendre
+#: nodes and 600 trapezoid points agree to 7e-15), and 48 or 96 outer nodes
+#: across the hard tail cut move it by 3.5%
+TAIL_CHAIN_M_GAUSSIAN_GL48 = 0.024797993668923865
 
 
 def test_weighted_tail_chain_matches_recorded_value(grid, gaussian):
     _, rhs, _ = _weighted_tail_chain(grid, gaussian)
     assert rhs == pytest.approx(TAIL_CHAIN_M_GAUSSIAN, rel=1e-13, abs=0.0)
+    # 100x the move between the two rules
+    assert rhs == pytest.approx(TAIL_CHAIN_M_GAUSSIAN_GL48, rel=1.63e-7, abs=0.0)
 
 
 def test_bootstrap_inequality_chain_strict_for_generic_profile(grid):

@@ -11,9 +11,10 @@ The sharp-ratio guards sit at 100x max(observed, 1.1e-16) against 12^{-1/12},
 observed at commit e21182a: the Gaussian's ratio matched it exactly, so its
 guard rests on one rounding unit.  The Picard log-fit guard sits at 100x the
 residual observed once the iteration was Anderson-mixed.  The q_quadrature
-pins hold the values recorded at commit dca3834, before the quadrature
-summed the circle integral once per symmetric orbit of outer nodes; like
-TAIL_CHAIN_M_GAUSSIAN they are guarded at 1e-13 relative.  The Hermite
+pins hold the values of the trapezoid rule on the full constraint circle;
+like TAIL_CHAIN_M_GAUSSIAN they are guarded at 1e-13 relative, and against
+the values of the Gauss-Legendre rule on half the circle, recorded at commit
+823441d, at 100x the move between the two rules.  The Hermite
 functions psi_k are exact Euler-Lagrange solutions; their guards, and those of
 the ratio-deficit quotients at psi_0 + eps psi_k, sit at 100x what the default
 grid and time rule reached at commit 26cfccf, and those of their analytic
@@ -58,19 +59,35 @@ GAUSSIAN_RATIO_BOUND = 1.1e-14
 PICARD_RATIO_BOUND = 1.11e-14
 #: observed 1.55e-7 (quadratic_log_fit residual of that last state)
 PICARD_LOGFIT_BOUND = 1.6e-5
-#: q_quadrature at (48, 48) at commit dca3834: the Gaussian diagonal, the
-#: default_rng(4) sextuple (no two outer slots share nodes) and
-#: shared_nodes_sextuple (all three do, with three different functions)
+#: q_quadrature at (48, 48), on the 48-point trapezoid rule of the full
+#: constraint circle: the Gaussian diagonal, the default_rng(4) sextuple (no
+#: two outer slots share nodes) and shared_nodes_sextuple (all three do, with
+#: three different functions)
 Q_QUADRATURE_PINS = {
-    "gaussian": 885.7449102372607 - 3.149460646535084e-14j,
-    "random": -16.1765064136053 - 44.925394681503086j,
-    "shared_nodes": -10.846025616851538 - 6.523591300744396j,
+    "gaussian": 885.7449102461308 - 3.149018604104404e-14j,
+    "random": -16.176506424548318 - 44.92539466997558j,
+    "shared_nodes": -10.846025606833114 - 6.523591305285092j,
 }
+#: the same values at commit 823441d, on 48 Gauss-Legendre nodes in one angle
+#: on half the circle, each read at both orderings of the roots
+Q_QUADRATURE_PINS_GL48 = {
+    "gaussian": 885.7449102372609 - 3.149460646535089e-14j,
+    "random": -16.1765064136053 - 44.925394681503086j,
+    "shared_nodes": -10.846025616851541 - 6.523591300744393j,
+}
+#: 100x the move between the two rules, relative to the sharp bound: observed
+#: 1.00e-11, 3.53e-11 and 2.44e-11, 25x to 1400x below the two-route
+#: differences of the same inputs
+Q_QUADRATURE_RULE_MOVE_BOUNDS = {"gaussian": 1.01e-9, "random": 3.54e-9,
+                                 "shared_nodes": 2.45e-9}
+
+
+def _sharp_bound(fields):
+    return KAPPA / math.sqrt(12.0) * math.prod(lp_norm(f, 2) for f in fields)
 
 
 def _two_route_difference(fields, tq):
-    scale = KAPPA / math.sqrt(12.0) * math.prod(lp_norm(f, 2) for f in fields)
-    return abs(q_spacetime(*fields, tq) - q_quadrature(*fields)) / scale
+    return abs(q_spacetime(*fields, tq) - q_quadrature(*fields)) / _sharp_bound(fields)
 
 
 def test_gaussian_two_routes(gaussian, tq):
@@ -128,8 +145,10 @@ def test_q_quadrature_pins(grid):
     nodes = [_axis_rule(_hat_spline(f)[1], 48)[0] for f in inputs["shared_nodes"][:3]]
     assert all(np.array_equal(nodes[0], x) for x in nodes[1:])
     for name, fields in inputs.items():
-        pin = Q_QUADRATURE_PINS[name]
-        assert abs(q_quadrature(*fields, 48, 48) - pin) <= 1e-13 * abs(pin), name
+        value, pin = q_quadrature(*fields, 48, 48), Q_QUADRATURE_PINS[name]
+        assert abs(value - pin) <= 1e-13 * abs(pin), name
+        move = abs(value - Q_QUADRATURE_PINS_GL48[name]) / _sharp_bound(fields)
+        assert move <= Q_QUADRATURE_RULE_MOVE_BOUNDS[name], name
 
 
 # ---------------------------------------------------------------------------
