@@ -122,12 +122,24 @@ def residual_samples(f, n_samples: int, seed: int, sampler_box: float = 3.0) -> 
     """Array of product residuals at seeded random constraint points.
 
     Triples are drawn uniformly from [-box, box]^3 and angles uniformly from
-    [0, 2pi); identical seeds reproduce identical samples.
+    [0, 2pi); identical seeds reproduce identical samples.  The circles lie on
+    spheres of radius |xyz| <= sqrt(3) box: on a WaveFunction, a larger box
+    than the grid span holds shrinks to fit, with a warning, and a span that
+    holds no box around 0 raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not 0 < sampler_box < np.inf:  # a box of 0 samples every point at 0, testing nothing
         raise ValueError(f"sampler_box must be positive and finite, got {sampler_box}")
+    if isinstance(f, WaveFunction):
+        lo, hi = f.axis[0], f.axis[-1]
+        limit = min(-lo, hi) / np.sqrt(3.0) * (1.0 - 1e-12)  # a margin for rounding
+        if not limit > 0:
+            raise ValueError(f"the grid span [{lo:g}, {hi:g}] holds no sampler box around 0")
+        if sampler_box > limit:
+            warn_at_caller(f"sampler_box {sampler_box:g} puts constraint points outside the "
+                           f"grid span [{lo:g}, {hi:g}]; using {limit:.6g}", UserWarning)
+            sampler_box = limit
     rng = np.random.default_rng(seed)
     ev = _as_evaluator(f)
     xyz = rng.uniform(-sampler_box, sampler_box, size=(n_samples, 3))

@@ -41,21 +41,21 @@ only the plan reads them, and a reduction is handed the rows it needs.
 The blocks run on one thread per CPU the process may run on (os.cpu_count()
 where the platform has no affinity call): the calling thread and a pool of
 one worker fewer, made on first use (none on one CPU, where everything runs
-inline).  _Pieces splits each block into one contiguous piece of rows per
-thread and sizes each piece's buffers; sextic_form's constraint-set rounds
-are split by the same helper.  A piece reads its phase rows from the kept
-table or computes them in its own phase buffer, evolves every input at those
-rows and then, from their conjugates in that buffer, at their mirror rows,
-and reduces them to per-row results such as row sums; the calling thread
-joins the pieces in node order and applies the quadrature weights once per
-block, as one thread would.  numpy's per-row sums and numpy.fft's per-row
-transforms, taken in place (out=), do not depend on how many rows share a
-call, so every value is the same bit for bit on any number of CPUs.  At most
-one block's rows are in flight, in buffers the calling thread allocates once
-per call.  A kept table fills the rows it lacks on first read
-(FlowPlan._table), under the plan's lock and from whichever thread reads
-them, and never writes a filled row again; so pieces, and threads that share
-one plan, read and fill one table at once.
+inline).  The pool is the engine's alone: reduce_blocks splits each block
+into one contiguous piece of rows per thread, each with its own buffers, and
+nothing else in the package runs on it.  A piece reads its phase rows from
+the kept table or computes them in its own phase buffer, evolves every input
+at those rows and then, from their conjugates in that buffer, at their
+mirror rows, and reduces them to per-row results such as row sums; the
+calling thread joins the pieces in node order and applies the quadrature
+weights once per block, as one thread would.  numpy's per-row sums and
+numpy.fft's per-row transforms, taken in place (out=), do not depend on how
+many rows share a call, so every value is the same bit for bit on any number
+of CPUs.  At most one block's rows are in flight, in buffers the calling
+thread allocates once per call.  A kept table fills the rows it lacks on
+first read (FlowPlan._table), under the plan's lock and from whichever
+thread reads them, and never writes a filled row again; so pieces, and
+threads that share one plan, read and fill one table at once.
 
 Time integrals over all of R use the compactification t = tan(theta)/4 with
 Gauss-Legendre nodes in theta.  The Legendre rule of each size is built once
@@ -331,28 +331,6 @@ def _run(fn, pieces: list) -> list:
         wait(futures)
 
 
-class _Pieces:
-    """One contiguous piece of rows per pool thread, each with its own
-    buffers, for row ranges of at most width rows.  make(rows) builds the
-    buffers of a piece of that many rows; it is called here, on the calling
-    thread, once per piece and for the longest piece of any range (a shorter
-    range can have a longer piece than the same piece of the widest one)."""
-
-    def __init__(self, width: int, make):
-        self.count = min(_pool()[0], width)
-        self.buffers = [make(-(-width // self.count)) for _ in range(self.count)]
-
-    def run(self, fn, sl: slice) -> list:
-        """[fn(piece, buffers)] over the pieces of sl in order, through _run:
-        at most count pieces, each of at least one row and none longer than
-        ceil(rows / count)."""
-        rows = sl.stop - sl.start
-        k = min(self.count, rows)
-        edges = [sl.start + i * rows // k for i in range(k + 1)]
-        return _run(lambda task: fn(*task),
-                    list(zip(map(slice, edges[:-1], edges[1:]), self.buffers)))
-
-
 class FlowPlan:
     """The flow on one grid over one time rule, evaluated in row blocks; it
     holds no input, so one plan serves every call on its grid and rule, from
@@ -430,14 +408,14 @@ class FlowPlan:
         out[:, h:] = out[:, n - h:0:-1]  # columns n/2-1..1; nothing when h == n
         return out
 
-    def _piece(self, factored: bool, inputs: dict, fields, fn, sl: slice, buffers):
-        """fn's results on the rows of a piece's mirror (None when it has none)
-        and of the piece sl.  buffers are (row buffer, phase buffer): the rows
-        of every input go through one transform in the row buffer.  The phase
-        rows of sl are a view of the kept table, or are computed in the phase
-        buffer on a plan that keeps none; once sl is reduced, their conjugates,
-        which are exact, go into the phase buffer for the mirror rows."""
-        row_buf, phase_buf = buffers
+    def _piece(self, factored: bool, inputs: dict, fields, fn, task):
+        """fn's results on the rows of the mirror (None when there is none) and
+        of the piece sl of task = (sl, (row buffer, phase buffer)).  The rows of
+        every input go through one transform in the row buffer.  The phase rows
+        of sl are a view of the kept table, or are computed in the phase buffer
+        on a plan that keeps none; once sl is reduced, their conjugates, which
+        are exact, go into the phase buffer for the mirror rows."""
+        sl, (row_buf, phase_buf) = task
         n = self.grid.n
         kind, transform = ("chirp", np.fft.fft) if factored else ("flow", np.fft.ifft)
 
@@ -477,9 +455,9 @@ class FlowPlan:
 
         A symmetric rule is walked over its t >= 0 half, each block preceded by
         its mirror block; any other rule is walked in ascending order.  Each
-        block is split into one piece per thread (with its mirror rows) by
-        _Pieces, whose buffers every block reuses, and the next block starts
-        only once all pieces of this one are joined.
+        block is split into one piece per thread (with its mirror rows), whose
+        buffers every block reuses, and the next block starts only once all
+        pieces of this one are joined.
         """
         if any(f.grid != self.grid for f in fields):
             raise GridMismatchError("all inputs must share the plan's grid")
@@ -491,18 +469,22 @@ class FlowPlan:
         first = m // 2 if self._symmetric else 0
         factored = np.abs(self.tq.nodes) > switch
         runs = [first, *(np.flatnonzero(np.diff(factored[first:])) + 1 + first).tolist(), m]
-        # a row buffer and a phase buffer per piece, made on the calling thread
-        # so that the engine allocates none on the workers (what fn allocates
-        # there is its own)
-        n = self.grid.n
-        pieces = _Pieces(min(self.block_rows, m - first), lambda rows: (
-            np.empty(len(distinct) * rows * n, dtype=complex), np.empty(rows * n, dtype=complex)))
+        # one piece per thread, with a row buffer and a phase buffer for the
+        # longest piece of any block, made here so that the engine allocates
+        # none on the pool's workers (what fn allocates there is its own)
+        n, width = self.grid.n, min(self.block_rows, m - first)
+        count = min(_pool()[0], width)
+        longest = -(-width // count)
+        buffers = [(np.empty(len(distinct) * longest * n, dtype=complex),
+                    np.empty(longest * n, dtype=complex)) for _ in range(count)]
         for a, b in zip(runs[:-1], runs[1:]):
             fac = bool(factored[a])
             piece = partial(self._piece, fac, distinct if fac else spectra, fields, fn)
             for start in range(a, b, self.block_rows):
                 sl = slice(start, min(start + self.block_rows, b))
-                parts = pieces.run(piece, sl)
+                k = min(count, sl.stop - start)
+                edges = [start + i * (sl.stop - start) // k for i in range(k + 1)]
+                parts = _run(piece, list(zip(map(slice, edges[:-1], edges[1:]), buffers)))
                 mirror = self._mirror(sl)
                 if mirror.stop > mirror.start:
                     yield mirror, fac, _join([p for p, _ in reversed(parts) if p is not None])
@@ -566,9 +548,14 @@ def evolve(f: WaveFunction, t: float) -> WaveFunction:
     """Apply the frequency multiplier e^{i t xi^2}; unitary in L^2.
 
     Valid as a pointwise representation of u(. , t) while the solution still
-    fits in the periodic box; see switch_time for the horizon.
+    fits in the periodic box: past the direct gauge's widest horizon (the last
+    row of _WINDOWS, see switch_time) it warns with an AliasingWarning.
     """
     warn_if_aliased(f, band_fraction=7.0 / 8.0, context="evolve")
+    horizon = _gauge_crossover([f])[-1][1]
+    if abs(t) > horizon:
+        warn_at_caller(f"evolve to |t| = {abs(t):.3g} returns the flow wrapped around the "
+                       f"periodic box, whose direct horizon is {horizon:.3g}", AliasingWarning)
     (_, _, (rows,)), = FlowPlan(f.grid, TimeQuadrature.single(t)).blocks([f], np.inf)
     return WaveFunction(f.grid, rows[0])
 

@@ -48,18 +48,14 @@ independent evaluation routes cross-validate each other:
   orbit.  On the Gaussian diagonal this cuts the circle evaluations from
   n^3 to n(n+1)(n+2)/6 for n outer nodes per axis.
 
-  The circle integrals run on the flow engine's threads.  The calling thread
-  builds the tables, the outer rules and one index array of all
-  representatives, takes it in rounds of at most BLOCK_ENTRIES circle nodes
-  (whole triples), and runs each round through the engine's piece helper
-  (propagator._Pieces), one contiguous piece per thread.  A piece evaluates
-  its circle points and nodes in slab arrays that the helper has the calling
-  thread allocate once per call, one set per piece, and that every round
-  reuses; it writes one contribution per triple.  The calling thread sums the
-  contributions of each round as one contiguous array, and adds those sums
-  in round order.  All other arithmetic is elementwise, so q_quadrature and
-  m_weighted depend on the round size BLOCK_ENTRIES // n_phi, but are the
-  same bit for bit on any number of CPUs.
+  The circle integrals run on the calling thread, which builds the tables,
+  the outer rules and one index array of all representatives, and takes it
+  in rounds of at most BLOCK_ENTRIES circle nodes (whole triples).  A round
+  evaluates its circle points and nodes in one slab of arrays, allocated
+  once per call and reused by every round, sums its contributions as one
+  contiguous array, and adds that sum to the total in round order.  So
+  q_quadrature and m_weighted depend on the round size BLOCK_ENTRIES //
+  n_phi, and on nothing else of the machine they run on.
 """
 
 from __future__ import annotations
@@ -79,7 +75,7 @@ from .lattice import (
     _spline_table,
     warn_if_aliased,
 )
-from .propagator import BLOCK_ENTRIES, FlowPlan, TimeQuadrature, _legendre, _Pieces
+from .propagator import BLOCK_ENTRIES, FlowPlan, TimeQuadrature, _legendre
 
 __all__ = [
     "KAPPA",
@@ -233,18 +229,13 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     both exponentials stay <= 1 (the full exponent is <= 0 on the
     constraint set) and no overflow meets an underflow.
 
-    Tables, outer rules and outer factors are built on the calling thread,
-    and so is reps, the (3, count) index array of the representatives in C
-    order of (i, j, k), at 24 B per representative (2.7 MB for the 48^3
-    unshared triples of one panel per axis).  Each round is the view of the
-    next BLOCK_ENTRIES // n_phi columns of reps, which propagator._Pieces
-    runs as one contiguous piece per pool thread.  A piece evaluates its
-    circle points and nodes in its own slab, allocated once per call and
-    reused by every round through out=, and writes one contribution per
-    triple to the per-call array sums.  Each round's contributions are
-    summed as one contiguous array, in round order.  So the value depends on
-    the round size, not on the pieces, and is the same bit for bit on any
-    number of CPUs.
+    reps is the (3, count) index array of the representatives in C order of
+    (i, j, k), at 24 B per representative (2.7 MB for the 48^3 unshared
+    triples of one panel per axis).  Each round is the view of the next
+    BLOCK_ENTRIES // n_phi columns of reps; it evaluates its circle points
+    and nodes in the slab, through out=, and its contributions, one per
+    triple, are summed as one contiguous array.  So the value depends on the
+    round size and is the same bit for bit on any number of CPUs.
     """
     if n_phi < 1:
         raise ValueError(f"n_phi needs at least one node, got {n_phi}")
@@ -286,32 +277,26 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
             keep &= ix[a] <= ix[b]
     reps = np.stack(np.nonzero(keep))
 
-    # triples per round, a round's contributions, and each piece's slab:
-    # per triple, n_pts entries for the points and n_phi for the nodes
+    # triples per round, and the slab that every round evaluates its points
+    # (n_pts per triple) and nodes (n_phi per triple) in
     rows = max(1, min(BLOCK_ENTRIES // n_phi, reps.shape[1]))
     value = float if absolute else complex
-    slab = {"x": (n_pts, float), "col": (n_pts, np.intp), "scratch": (n_pts, complex),
-            "integrand": (n_phi, value), "term": (n_phi, value)}
-    slab.update({key: (n_pts, value) for key in inner})   # keyed by input id
+    widths = {"x": (n_pts, float), "col": (n_pts, np.intp), "scratch": (n_pts, complex),
+              "integrand": (n_phi, value), "term": (n_phi, value)}
+    widths.update({key: (n_pts, value) for key in inner})   # keyed by input id
     if absolute:
-        slab.update(z=(n_pts, complex), wx=(n_pts, float), tmp=(n_pts, float),
-                    factor=(n_phi, float))
-    pieces = _Pieces(rows, lambda count: {name: np.empty(count * width, dtype)
-                                          for name, (width, dtype) in slab.items()})
-    sums = np.empty(rows, dtype=value)
-
-    def piece(idx, out, bufs):
-        """The contributions of the (3, count) triples idx, to out."""
-        count = idx.shape[1]
-
-        def buf(name):
-            return bufs[name][:count * slab[name][0]].reshape(count, slab[name][0])
-
+        widths.update(z=(n_pts, complex), wx=(n_pts, float), tmp=(n_pts, float),
+                      factor=(n_phi, float))
+    slab = {name: np.empty((rows, width), dtype) for name, (width, dtype) in widths.items()}
+    total = 0.0 + 0.0j
+    for start in range(0, reps.shape[1], rows):
+        idx = reps[:, start:start + rows]
+        buf = {name: a[:idx.shape[1]] for name, a in slab.items()}
         x1, x2, x3 = (x[ix] for x, ix in zip(nodes, idx))
         sigma = x1 + x2 + x3
         tau = x1 ** 2 + x2 ** 2 + x3 ** 2
         h = np.sqrt(np.maximum(2.0 * tau - 2.0 * sigma ** 2 / 3.0, 0.0) / 3.0)
-        pts = np.multiply(h[:, None], cos_m, out=buf("x"))
+        pts = np.multiply(h[:, None], cos_m, out=buf["x"])
         pts += sigma[:, None] / 3.0
         orbit = [tuple(idx[pi[s]] for s in range(3)) for pi in perms]
         weights = [outer[0][a] * outer[1][b] * outer[2][c] for a, b, c in orbit]
@@ -319,39 +304,32 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
             exponents = [signed_f[0][a] + signed_f[1][b] + signed_f[2][c] for a, b, c in orbit]
             shift = np.maximum.reduce(exponents)
             weights = [wt * np.exp(e - shift) for wt, e in zip(weights, exponents)]
-            f_pts = _weight(pts, w, buf("wx"), buf("tmp"))
-            factor = buf("factor")
+            f_pts = _weight(pts, w, buf["wx"], buf["tmp"])
+            factor = buf["factor"]
             factor[:] = shift[:, None]
             for _, c in reads:
-                factor -= np.take(f_pts, c, axis=1, out=buf("term"), mode="wrap")
+                factor -= np.take(f_pts, c, axis=1, out=buf["term"], mode="wrap")
             np.exp(factor, out=factor)
         stabilizer = sum((a == idx[0]) & (b == idx[1]) & (c == idx[2]) for a, b, c in orbit)
         # one lookup overwrites the points with their offsets; one table read
         # per distinct inner input
-        at = _cells(grid, pts, out=(buf("col"), pts))
+        at = _cells(grid, pts, out=(buf["col"], pts))
         vals = {}
         for key, table in inner.items():
             if absolute:
-                vals[key] = np.abs(_interpolate(table, at, out=(buf("z"), buf("scratch"))),
-                                   out=buf(key))
+                vals[key] = np.abs(_interpolate(table, at, out=(buf["z"], buf["scratch"])),
+                                   out=buf[key])
             else:
-                vals[key] = _interpolate(table, at, out=(buf(key), buf("scratch")))
+                vals[key] = _interpolate(table, at, out=(buf[key], buf["scratch"]))
         # the indices are in range; take's default mode, raise, would fill a
         # temporary and copy it to out
         (key, c), *rest = reads
-        integrand = np.take(vals[key], c, axis=1, out=buf("integrand"), mode="wrap")
+        integrand = np.take(vals[key], c, axis=1, out=buf["integrand"], mode="wrap")
         for key, c in rest:
-            integrand *= np.take(vals[key], c, axis=1, out=buf("term"), mode="wrap")
+            integrand *= np.take(vals[key], c, axis=1, out=buf["term"], mode="wrap")
         if absolute:
             integrand *= factor
-        np.multiply(sum(weights) / stabilizer, integrand.sum(axis=-1) * step, out=out)
-
-    total = 0.0 + 0.0j
-    for start in range(0, reps.shape[1], rows):
-        batch = reps[:, start:start + rows]
-        count = batch.shape[1]
-        pieces.run(lambda sl, bufs: piece(batch[:, sl], sums[sl], bufs), slice(0, count))
-        total += sums[:count].sum()
+        total += (sum(weights) / stabilizer * (integrand.sum(axis=-1) * step)).sum()
     return complex(total)
 
 

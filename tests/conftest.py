@@ -55,10 +55,10 @@ def band_edge(grid):
 
 @pytest.fixture()
 def pool(monkeypatch):
-    """use(threads, workers=threads - 1) runs the flow engine's pieces, and the
-    constraint-set quadrature's, on that many threads: the calling thread and
-    a private executor of workers (none for 0).  The executors are shut down
-    and the process's own pool is restored when the test ends."""
+    """use(threads, workers=threads - 1) runs the flow engine's pieces on
+    that many threads: the calling thread and a private executor of workers
+    (none for 0).  The engine is the pool's only user.  The executors are
+    shut down and the process's own pool is restored when the test ends."""
     executors = []
 
     def use(threads, workers=None):

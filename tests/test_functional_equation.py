@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from strichartz_lab.functional_equation import (
     golden_power_sums,
     product_residual,
     quadratic_log_fit,
+    residual_samples,
     residual_statistic,
 )
 from strichartz_lab.lattice import UniformGrid, WaveFunction, forward_transform, make_gaussian
@@ -99,6 +101,32 @@ def test_residual_statistic_deterministic(grid, gaussian):
     a = residual_statistic(gaussian, 2000, seed=5)
     b = residual_statistic(gaussian, 2000, seed=5)
     assert a == b
+
+
+def test_residual_samples_keep_the_requested_box_where_the_grid_holds_it(gaussian):
+    # the default grid holds boxes up to 11.5: the draws are those of [-3, 3]^3,
+    # point for point, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = residual_samples(gaussian, 200, seed=5403)
+    rng = np.random.default_rng(5403)
+    xyz = rng.uniform(-3.0, 3.0, size=(200, 3))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=200)
+    each = [product_residual(gaussian, constraint_circle(*p, t)) for p, t in zip(xyz, theta)]
+    assert res.tolist() == each
+
+
+def test_residual_samples_shrink_a_box_whose_circles_leave_the_grid():
+    # seed 5403 draws a triple of norm 5.14 in [-3, 3]^3, beyond the span
+    # [-5, 4.92]; the box shrinks to 4.92 / sqrt 3
+    g = make_gaussian(UniformGrid.symmetric(128, 5.0))
+    with pytest.warns(UserWarning, match=r"sampler_box 3 .* using 2\.84"):
+        sup, rms = residual_statistic(g, 10_000, seed=5403)
+    assert 0 <= rms <= sup < 1e-3
+    # a span with no room on one side of 0 holds no box
+    edge = make_gaussian(UniformGrid(n=128, dx=0.1, x0=0.0))
+    with pytest.raises(ValueError, match="holds no sampler box around 0"):
+        residual_samples(edge, 10, seed=1)
 
 
 def test_residual_statistic_grid_gaussian_within_interpolation_budget(gaussian):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_evolve_aliasing_warning(grid):
     spiky[::2] = 1.0  # loads the top of the band
     with pytest.warns(AliasingWarning):
         evolve(WaveFunction(grid, spiky), 0.1)
+
+
+def test_evolve_warns_past_the_direct_horizon(grid):
+    # the profile's widest direct horizon is 2.66
+    f = WaveFunction(grid, (1 + 0.3 * grid.x) * np.exp(-grid.x ** 2 + 0.5j * grid.x))
+    with pytest.warns(AliasingWarning, match="direct horizon is 2.66"):
+        evolve(f, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(f, 0.3)
 
 
 def _plan_rows(f, tq, switch):
@@ -514,7 +525,7 @@ def test_flow_plan_alone_picks_the_rule_the_crossover_and_the_pieces():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "propagator":
                 pool_imports.update((path.name, alias.name) for alias in node.names
-                                    if alias.name in ("_pool", "_run", "_split"))
+                                    if alias.name in ("_pool", "_run", "_split", "_Pieces"))
             if path.name == "extremizer.py" and isinstance(node, ast.Compare):
                 compares.add(ast.unparse(node))
             if (path.name != "propagator.py" and isinstance(node, ast.Attribute)

@@ -14,7 +14,6 @@ from strichartz_lab.lattice import (
     UniformGrid,
     WaveFunction,
     forward_transform,
-    lp_norm,
     make_gaussian,
 )
 from strichartz_lab import sextic_form
@@ -33,7 +32,7 @@ from strichartz_lab.sextic_form import (
     weight,
 )
 
-from conftest import random_band_limited, shared_nodes_sextuple
+from conftest import random_band_limited
 
 GAUSSIAN_Q_EXACT = KAPPA * gaussian_l6_sixth_exact  # = 2^{3/2} pi^{11/2} / sqrt 3
 
@@ -176,42 +175,10 @@ def test_quadrature_circle_once_per_orbit(grid, rng, monkeypatch):
     assert max(abs(q - values[0]) for q in values) <= 1e-13 * abs(values[0])
 
 
-def _quadrature_values(grid):
-    """q_quadrature on the three inputs of Q_QUADRATURE_PINS and m_weighted on
-    the chain of test_decay, as hex strings.  At 48 angles a round holds 1365
-    triples; at 24, 2730.  The Gaussian at (48, 48) has 19600 representatives:
-    14 full rounds and one of 490.  The random sextuple at (24, 24) has 24^3,
-    in passes of 576 that straddle rounds; the shared-nodes sextuple has
-    2600, less than one round.  m_weighted runs the absolute path with one
-    distinct inner input and with two."""
-    rng = np.random.default_rng(4)
-    gaussian = [make_gaussian(grid)] * 6
-    sextuple = [random_band_limited(grid, rng) for _ in range(6)]
-    qs = [q_quadrature(*gaussian, 48, 48), q_quadrature(*sextuple, 24, 24),
-          q_quadrature(*shared_nodes_sextuple(grid), 24, 24)]
-    f = gaussian[0]
-    w = WeightParams(2.0 ** -4, 1.0)
-    fhat = forward_transform(WaveFunction(grid, f.values / lp_norm(f, 2)))
-    h = WaveFunction(fhat.grid, np.exp(weight(fhat.grid.xi, w)) * fhat.values)
-    h_gt = WaveFunction(fhat.grid, np.where(np.abs(fhat.grid.xi) >= 4.0, h.values, 0.0))
-    ms = [m_weighted(h_gt, h, h, h, h, h, w, n_outer=24, n_phi=24),
-          m_weighted(h_gt, h, h, h, h, h.copy(), w, n_outer=24, n_phi=24)]
-    return [v.hex() for q in qs for v in (q.real, q.imag)] + [m.hex() for m in ms]
-
-
-def test_pooled_quadrature_equals_one_thread_bit_for_bit(pool, grid):
-    pool(1)
-    inline = _quadrature_values(grid)
-    for threads in (2, 3, 6):
-        pool(threads)
-        assert _quadrature_values(grid) == inline, threads
-
-
-def test_threads_calling_q_quadrature_match_sequential_calls(pool, grid):
+def test_threads_calling_q_quadrature_match_sequential_calls(grid):
     rng = np.random.default_rng(7)
     sextuples = [[random_band_limited(grid, rng) for _ in range(6)] for _ in range(2)]
     expected = [q_quadrature(*s, 16, 24) for s in sextuples]
-    pool(3)  # more threads than CPUs on a 2-CPU host, and workers on any host
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

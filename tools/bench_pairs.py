@@ -24,6 +24,11 @@ can be resolved per kind when its ``solve_s`` is not.  The verdicts:
   parent run;
 * ``ok``: neither.
 
+A run that exits nonzero or prints no result line does not stop the
+campaign: its side, seed, exit code and last stderr lines are echoed, the
+next run goes on, the pairs it belongs to count for neither side's wins, and
+the summary lists the failed runs of each side; the script then exits 1.
+
 Uses the standard library only, and reads nothing of the program but
 ``perfbench/`` and ``BENCHMARK.json``.
 """
@@ -62,15 +67,24 @@ def archive(ref: str, into: Path) -> Path:
     return tree
 
 
+class RunFailed(Exception):
+    """A perfbench run that exited nonzero or printed no result line."""
+
+    def __init__(self, code: int, stderr: str):
+        super().__init__(f"exit {code}")
+        self.code, self.tail = code, stderr.strip().splitlines()[-5:]
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """The result line of one perfbench run in tree, and the median untraced
-    seconds of each op kind, from the detail line before it."""
+    seconds of each op kind, from the detail line before it; RunFailed when
+    the run gives none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
-        sys.exit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     seconds_by_kind = {}
     for op in json.loads(lines[-2])["ops"]:
         if not op["traced"]:
@@ -103,7 +117,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
-    records = []
+    records, failures = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": archive(args.parent, Path(tmp)),
                  "change": archive(args.change, Path(tmp)) if args.change else ROOT}
@@ -115,10 +129,17 @@ def main(argv=None) -> int:
                 seed = args.first_seed + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result, kinds = run(trees[side], workload, seed, seconds)
+                    try:
+                        result, kinds = run(trees[side], workload, seed, seconds)
+                    except RunFailed as exc:
+                        failures.append({"workload": workload, "side": side, "seed": seed,
+                                         "code": exc.code, "tail": exc.tail})
+                        print(f"{workload} pair {k + 1} seed {seed} {side}: run failed, "
+                              f"exit {exc.code}", *exc.tail, sep="\n  ", flush=True)
+                        continue
                     values = {m: v["value"] for m, v in result["metrics"].items()}
                     values.update({f"solve_s[{kind}]": v for kind, v in kinds.items()})
-                    records.append({"workload": workload, "side": side,
+                    records.append({"workload": workload, "side": side, "seed": seed,
                                     "failed": result["failed"], "metrics": values})
                     print(f"{workload} pair {k + 1} seed {seed} {side}: "
                           + " ".join(f"{m['name']}={values.get(m['name'])}" for m in metrics)
@@ -133,19 +154,30 @@ def main(argv=None) -> int:
         kinds = sorted({name for r in runs for name in r["metrics"] if name.startswith("solve_s[")})
         for m in metrics + [dict(solve, name=kind) for kind in kinds]:
             name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
-            side = {s: [r["metrics"][name] for r in runs if r["side"] == s]
-                    for s in ("parent", "change")}
-            wins = sum(sign * (c - p) < 0 for p, c in zip(side["parent"], side["change"]))
+            by_seed = {s: {r["seed"]: r["metrics"][name] for r in runs
+                           if r["side"] == s and name in r["metrics"]}
+                       for s in ("parent", "change")}
+            side = {s: list(v.values()) for s, v in by_seed.items()}
+            if not side["parent"] or not side["change"]:
+                print(f"{workload:9} {name:18} no run of one side measured it")
+                continue
+            pairs = [(p, by_seed["change"][seed]) for seed, p in by_seed["parent"].items()
+                     if seed in by_seed["change"]]
+            wins = sum(sign * (c - p) < 0 for p, c in pairs)
             cols = []
             for s in ("parent", "change"):
                 q1, q2, q3 = quartiles(side[s])
                 cols.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
             print(f"{workload:9} {name:18} {cols[0]:>32} {cols[1]:>32} "
-                  f"{wins:>2}/{len(side['change']):<3}  "
+                  f"{wins:>2}/{len(pairs):<3}  "
                   f"{verdict(side['parent'], side['change'], m['better'], m['bound'])}")
         failed = {s: sum(r["failed"] for r in runs if r["side"] == s) for s in ("parent", "change")}
         print(f"{workload:9} failed ops: parent {failed['parent']}, change {failed['change']}")
-    return 0
+        for s in ("parent", "change"):
+            lost = [f"seed {f['seed']} (exit {f['code']})" for f in failures
+                    if f["workload"] == workload and f["side"] == s]
+            print(f"{workload:9} failed runs, {s}: {', '.join(lost) or 'none'}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
