@@ -45,8 +45,9 @@ independent evaluation routes cross-validate each other:
   whose node arrays are equal therefore see one circle integral per orbit of
   node triples under permuting those slots: it is evaluated once, at the
   triple with sorted node indices, against the outer factors summed over the
-  orbit.  On the Gaussian diagonal this cuts the circle evaluations from
-  n^3 to n(n+1)(n+2)/6 for n outer nodes per axis.
+  orbit.  All three axes share one rule when the panels of the samples
+  live in all three slots hold every live sample of each (_outer_rules);
+  the circle evaluations then fall from n^3 to n(n+1)(n+2)/6.
 
   The circle integrals run on the calling thread, which builds the tables,
   the outer rules and one index array of all representatives, and takes it
@@ -96,8 +97,9 @@ KAPPA = (2.0 * np.pi) ** 4
 N_OUTER = 48
 N_PHI = 48
 
-#: samples of |fhat| above this fraction of its peak are live for _support_panels
-_PANEL_FLOOR = 1e-13
+#: samples of |fhat| above _PANEL_FLOOR of its peak are live, and each support
+#: panel reaches _PAD cells beyond its outermost live samples
+_PANEL_FLOOR, _PAD = 1e-13, 3
 
 
 @dataclass(frozen=True)
@@ -166,33 +168,30 @@ def _hat_spline(f: WaveFunction) -> tuple[np.ndarray, WaveFunction]:
     return table, fhat
 
 
+def _live(fhat: WaveFunction) -> np.ndarray:
+    """Mask of the live samples of fhat."""
+    return np.abs(fhat.values) > _PANEL_FLOOR * np.abs(fhat.values).max()
+
+
+def _runs(fhat: WaveFunction) -> list[tuple[int, int]]:
+    """Index runs [a, b] of fhat's live samples, merged when less than five pads apart."""
+    edges = np.diff(np.concatenate([[0], _live(fhat).astype(int), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    if not starts.size:
+        return []
+    apart = starts[1:] - ends[:-1] >= 5 * _PAD     # gaps that keep two runs apart
+    return list(zip(starts[np.r_[True, apart]], ends[np.r_[apart, True]]))
+
+
 def _support_panels(fhat: WaveFunction) -> list[tuple[float, float]]:
-    """Intervals covering the live samples of fhat, padded by a few cells.
+    """Intervals covering the live samples of fhat, padded by _PAD cells.
 
     Hard-banded inputs give one panel per band component, so quadrature
     nodes are not wasted on gaps where the integrand vanishes.
     """
-    mag = np.abs(fhat.values)
-    top = mag.max()
-    xi = fhat.grid.xi
-    dxi = fhat.grid.dxi
-    pad = 3.0 * dxi
-    if top == 0:
-        return [(-pad, pad)]
-    live = mag > _PANEL_FLOOR * top
-    edges = np.diff(np.concatenate([[0], live.astype(int), [0]]))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    panels = [[xi[a] - pad, xi[b] + pad] for a, b in zip(starts, ends)]
-    # merge panels separated by less than a few cells
-    merged = [panels[0]]
-    for lo, hi in panels[1:]:
-        if lo - merged[-1][1] < 3.0 * pad:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    nyq = fhat.grid.nyquist
-    return [(max(lo, -nyq), min(hi, nyq)) for lo, hi in merged]
+    xi, pad, nyq = fhat.grid.xi, _PAD * fhat.grid.dxi, fhat.grid.nyquist
+    panels = [(max(xi[a] - pad, -nyq), min(xi[b] + pad, nyq)) for a, b in _runs(fhat)]
+    return panels or [(-pad, pad)]
 
 
 def _axis_rule(fhat: WaveFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +200,21 @@ def _axis_rule(fhat: WaveFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     panels = _support_panels(fhat)
     return (np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi in panels]),
             np.concatenate([0.5 * (hi - lo) * wz for lo, hi in panels]))
+
+
+def _outer_rules(fhats, n_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rules of the three outer axes: one _axis_rule, of a spectrum live where
+    all three slots are, when its panels hold every live sample of each slot
+    (decided on indices: none lies over _PAD cells beyond its runs), else
+    each slot's own _axis_rule."""
+    lives = [_live(fh) for fh in fhats]
+    common = WaveFunction(fhats[0].grid, np.logical_and.reduce(lives).astype(float))
+    held = np.zeros_like(lives[0])
+    for a, b in _runs(common):
+        held[max(a - _PAD, 0):b + _PAD + 1] = True
+    if held.any() and not any((live & ~held).any() for live in lives):
+        return [_axis_rule(common, n_nodes)] * 3
+    return [_axis_rule(fh, n_nodes) for fh in fhats]
 
 
 def _constraint_quadrature(fs, n_outer: int, n_phi: int,
@@ -215,7 +229,8 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     factors are taken in absolute value instead and
     exp(F(eta_1) - F(eta_2) - .. - F(eta_6)) multiplies the integrand.
 
-    The circle integral depends on the outer node triple only through
+    The outer axes take one shared rule or their own (_outer_rules).  The
+    circle integral depends on the outer node triple only through
     (sigma, tau), so it is evaluated once per orbit of triples under the
     permutations pi of slots 0-2 that map each slot onto one with an equal
     node array (np.array_equal, so copies of an input behave like the input
@@ -223,19 +238,20 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     within every class of equal slots, and the circle integral there is
     multiplied by sum_pi prod_s wf_s(x_pi(s)) / |stabilizer of the triple|,
     with wf_s the outer weight times the outer factor of slot s.  The weight
-    exponent splits into an outer part per permutation and an inner part
-    per circle node, -F(x_a) - F(x_b) - F(x_c), gathered from F at the
-    shared points; the largest outer part is moved to the inner side, so
-    both exponentials stay <= 1 (the full exponent is <= 0 on the
-    constraint set) and no overflow meets an underflow.
+    exponent splits into an outer part per permutation and an inner part per
+    circle node, -F(x_a) - F(x_b) - F(x_c), gathered from F at the shared
+    points; the largest outer part is moved to the inner side, so both
+    exponentials stay <= 1 (the full exponent is <= 0 on the constraint set)
+    and no overflow meets an underflow.
 
     reps is the (3, count) index array of the representatives in C order of
-    (i, j, k), at 24 B per representative (2.7 MB for the 48^3 unshared
-    triples of one panel per axis).  Each round is the view of the next
-    BLOCK_ENTRIES // n_phi columns of reps; it evaluates its circle points
-    and nodes in the slab, through out=, and its contributions, one per
-    triple, are summed as one contiguous array.  So the value depends on the
-    round size and is the same bit for bit on any number of CPUs.
+    (i, j, k), at 24 B per representative (0.47 MB for the C(50, 3) orbits
+    of one shared 48-node panel, 2.7 MB for 48^3 on three own panels).  Each
+    round is the view of the next BLOCK_ENTRIES // n_phi columns of reps; it
+    evaluates its circle points and nodes in the slab, through out=, and its
+    contributions, one per triple, are summed as one contiguous array.  So
+    the value depends on the round size and is the same bit for bit on any
+    number of CPUs.
     """
     if n_phi < 1:
         raise ValueError(f"n_phi needs at least one node, got {n_phi}")
@@ -247,7 +263,7 @@ def _constraint_quadrature(fs, n_outer: int, n_phi: int,
     grid = fhats[0].grid
     if any(fh.grid != grid for fh in fhats):
         raise GridMismatchError("all inputs must share one grid")
-    axes = [_axis_rule(fhats[i], n_outer) for i in range(3)]
+    axes = _outer_rules(fhats[:3], n_outer)
     absolute = w is not None
 
     # the circle's points sigma/3 + h cos(2 pi m / n_phi), m = 0 .. n_phi // 2,

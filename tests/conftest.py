@@ -8,6 +8,7 @@ from strichartz_lab.experiments import _random_smooth_profile
 from strichartz_lab.lattice import (
     UniformGrid,
     WaveFunction,
+    inverse_transform,
     lp_norm,
     make_gaussian,
     sample_offgrid,
@@ -81,6 +82,19 @@ def rng():
 #: unit-norm smooth random profile: three complex Gaussian bumps in frequency,
 #: centred in [-4, 4] with widths in [1, 2]
 random_band_limited = _random_smooth_profile
+
+
+def smooth_profile(grid, rng):
+    """Unit-norm profile whose spectrum is three Gaussian bumps at -2, 0 and 2,
+    of width 1.5, with seeded complex amplitudes: the random input of the
+    oracle benchmark (perfbench/workloads.py), whose spectral envelope does
+    not depend on the seed."""
+    dual = grid.dual()
+    amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    bumps = np.exp(-((dual.xi[None, :] - np.array([-2.0, 0.0, 2.0])[:, None]) / 1.5) ** 2)
+    f = inverse_transform(WaveFunction(dual, amps @ bumps))
+    f.values /= lp_norm(f, 2)
+    return f
 
 
 def direct_samples(grid, t, ghat):

@@ -41,13 +41,16 @@ from strichartz_lab.lattice import WaveFunction, lp_norm, make_gaussian
 from strichartz_lab.propagator import FlowPlan, sharp_ratio_exact, strichartz_ratio, switch_time
 from strichartz_lab.sextic_form import KAPPA, _axis_rule, _hat_spline, q_quadrature, q_spacetime
 
-from conftest import direct_samples, random_band_limited, shared_nodes_sextuple
+from conftest import direct_samples, random_band_limited, shared_nodes_sextuple, smooth_profile
 
 #: observed 1.22e-9 at commit 3204666
 GAUSSIAN_TWO_ROUTE_BOUND = 1.3e-7
 #: observed 4.83e-8 at commit 3204666 (six random_band_limited draws from
 #: default_rng(4))
 RANDOM_TWO_ROUTE_BOUND = 4.8e-6
+#: observed 5.99e-10 once the three outer slots share one rule (six
+#: smooth_profile draws from default_rng(4); 1.02e-9 on three own rules)
+SMOOTH_TWO_ROUTE_BOUND = 6.0e-8
 #: observed 1.03e-9 (worst factored row of the Gaussian, absolute)
 DIRECT_ROW_BOUND = 1.03e-7
 #: observed 4.10e-8 (residual_statistic sup on the Gaussian, seed 3)
@@ -98,6 +101,12 @@ def test_random_sextuple_two_routes(grid, tq):
     rng = np.random.default_rng(4)
     sextuple = [random_band_limited(grid, rng) for _ in range(6)]
     assert _two_route_difference(sextuple, tq) <= RANDOM_TWO_ROUTE_BOUND
+
+
+def test_smooth_profile_sextuple_two_routes(grid, tq):
+    rng = np.random.default_rng(4)
+    sextuple = [smooth_profile(grid, rng) for _ in range(6)]
+    assert _two_route_difference(sextuple, tq) <= SMOOTH_TWO_ROUTE_BOUND
 
 
 def test_factored_rows_against_closed_form_flow(grid, gaussian, tq):

@@ -1,7 +1,7 @@
 import math
 import sys
 import threading
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -27,12 +27,14 @@ from strichartz_lab.sextic_form import (
     _cells,
     _hat_spline,
     _interpolate,
+    _live,
+    _outer_rules,
     _support_panels,
     q_spacetime,
     weight,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, smooth_profile
 
 GAUSSIAN_Q_EXACT = KAPPA * gaussian_l6_sixth_exact  # = 2^{3/2} pi^{11/2} / sqrt 3
 
@@ -173,6 +175,53 @@ def test_quadrature_circle_once_per_orbit(grid, rng, monkeypatch):
         assert points == 3 * 9 + (9 * math.comb(10, 2)) * 5   # one sorted pair
         values.append(q)
     assert max(abs(q - values[0]) for q in values) <= 1e-13 * abs(values[0])
+
+
+def _live_edges(fhat):
+    """Centred indices of the first and last live samples of fhat."""
+    live = np.flatnonzero(_live(fhat))
+    return live[0] - fhat.grid.n // 2, live[-1] - fhat.grid.n // 2
+
+
+def test_smooth_sextuple_shares_one_outer_rule(grid, monkeypatch):
+    # the outer slots' live edges lie at most 3 cells (the panel pad) apart,
+    # so all three axes take the rule of the common panels and the circle
+    # is evaluated once per orbit of node triples
+    rng = np.random.default_rng(4)
+    sextuple = [smooth_profile(grid, rng) for _ in range(6)]
+    edges = [_live_edges(forward_transform(f)) for f in sextuple[:3]]
+    assert edges == [(-64, 64), (-63, 64), (-65, 64)]
+    q, points = _lookup_points(monkeypatch, sextuple, 9)
+    assert points == 3 * 9 + math.comb(11, 3) * 5     # not 3 * 9 + 9^3 * 5
+    for order in permutations(sextuple[:3]):
+        assert abs(q_quadrature(*order, *sextuple[3:], 9, 9) - q) <= 1e-13 * abs(q)
+
+
+def test_outer_slots_keep_their_own_rules_beyond_the_pad(grid):
+    rng = np.random.default_rng(4)
+    fhats = [forward_transform(random_band_limited(grid, rng)) for _ in range(3)]
+    assert [_live_edges(fh) for fh in fhats] == [(-30, 71), (-72, 71), (-78, 67)]
+    nodes = [x for x, _ in _outer_rules(fhats, 48)]
+    assert not any(np.array_equal(a, b) for a, b in combinations(nodes, 2))
+    # hard cuts whose last live samples lie 3 cells apart share one rule, over
+    # the common panel, whose padded end is the farther sample; 4 apart do not
+    dual = grid.dual()
+
+    def cut(last):
+        vals = np.zeros(dual.n, dtype=complex)
+        vals[400:last + 1] = 1.0
+        return WaveFunction(dual, vals)
+
+    for gap, shared in ((3, True), (4, False)):
+        nodes = [x for x, _ in _outer_rules([cut(600), cut(600 + gap), cut(600)], 48)]
+        assert np.array_equal(nodes[0], nodes[1]) == shared
+        assert np.array_equal(nodes[0], nodes[2])
+    # the bootstrap tail chain: the cut slot h_gt keeps its own two panels
+    fhat = forward_transform(make_gaussian(grid))
+    h = WaveFunction(fhat.grid, np.exp(weight(fhat.grid.xi, WeightParams(2.0 ** -4, 1.0)))
+                     * fhat.values)
+    h_gt = WaveFunction(fhat.grid, np.where(np.abs(fhat.grid.xi) >= 4.0, h.values, 0.0))
+    assert [x.size for x, _ in _outer_rules([h_gt, h, h], 48)] == [96, 48, 48]
 
 
 def test_threads_calling_q_quadrature_match_sequential_calls(grid):

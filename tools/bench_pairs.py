@@ -3,10 +3,16 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 5 --first-seed 101
     python3 tools/bench_pairs.py --parent main --workloads oracle --pairs 10 --first-seed 201
 
-Builds a ``git archive`` copy of --parent (and of --change, when given; by
-default the change side is this checkout's working tree) in a temporary
-directory, compiles the bytecode of both trees so that neither pays for a
-cold cache in ``setup_s``, and then runs, for each workload, --pairs pairs of
+Extracts a ``git archive`` copy of each side into its own directory of one
+temporary directory, named by the side: --parent, and --change or, by
+default, a ``git stash create`` snapshot of this checkout's working tree
+(HEAD when the tree is clean), so that both sides run from the same kind of
+tree and ``--parent HEAD --change HEAD`` is an A/A check of the noise.  The
+snapshot holds tracked files only, so the script refuses to run, naming
+them, while untracked files lie under ``src/`` or ``perfbench/``.  It
+prints the commit each side runs, compiles the bytecode of both trees so
+that neither pays for a cold cache in ``setup_s``, and then runs, for each
+workload, --pairs pairs of
 ``perfbench/run.py --trace 0`` for the ``run_seconds`` of ``BENCHMARK.json``,
 one seed per pair (--first-seed, +1, ...), the parent first on odd pairs.
 Every run's result line is echoed as it ends.  At the end it prints, for
@@ -50,18 +56,34 @@ ROOT = Path(__file__).resolve().parent.parent
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="git ref of the parent side")
-    p.add_argument("--change", help="git ref of the change side (default: the working tree)")
+    p.add_argument("--change", help="git ref of the change side (default: a snapshot of the "
+                                    "working tree)")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--first-seed", type=int, required=True)
     p.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     return p.parse_args(argv)
 
 
-def archive(ref: str, into: Path) -> Path:
-    """The files of ref, extracted from git archive into a new directory."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def snapshot() -> str:
+    """A commit of the working tree's tracked files (HEAD when none is
+    modified); exits naming the untracked files under src/ or perfbench/,
+    which it would leave out."""
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
+    if untracked:
+        sys.exit("untracked files would be missing from the change side: "
+                 + ", ".join(untracked.splitlines()))
+    return git("stash", "create") or "HEAD"
+
+
+def archive(commit: str, tree: Path) -> Path:
+    """The files of commit, extracted from git archive into the new directory tree."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                          check=True, capture_output=True).stdout
-    tree = into / ref.replace("/", "_")
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(tree, filter="data")
     return tree
@@ -118,9 +140,13 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     records, failures = [], []
+    refs = {"parent": args.parent, "change": args.change or snapshot()}
+    commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}") for side, ref in refs.items()}
+    for side, commit in commits.items():
+        source = "working tree" if side == "change" and not args.change else refs[side]
+        print(f"{side} runs {commit} ({source})", flush=True)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": archive(args.parent, Path(tmp)),
-                 "change": archive(args.change, Path(tmp)) if args.change else ROOT}
+        trees = {side: archive(commit, Path(tmp) / side) for side, commit in commits.items()}
         for tree in trees.values():
             for sub in ("src", "perfbench"):
                 compileall.compile_dir(tree / sub, quiet=1)

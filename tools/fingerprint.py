@@ -22,11 +22,18 @@ this checkout:
   [-40, 40) of 4096 points, whose 257 x 4096 phase tables exceed
   ``TABLE_BYTES``, so that the plan keeps none;
 * ``q_spacetime`` and ``q_quadrature(48, 48)`` on the Gaussian diagonal and
-  on the ``smooth_profile`` sextuple of ``default_rng(4)``;
+  on the ``smooth_profile`` sextuple of ``default_rng(4)``, and
+  ``q_quadrature(48, 48)`` on the ``experiments._random_smooth_profile``
+  sextuple of ``default_rng(4)``, whose outer live edges differ by more
+  than the panel pad;
 * ``calibrate_kappa`` on the Gaussian and the profile above;
 * ``m_weighted(48, 48)`` of the bootstrap tail chain on the Gaussian, the
   call of ``tests/test_decay.py``'s ``_weighted_tail_chain``: the absolute
   path of the constraint-set quadrature, with a weight;
+* for each of these quadratures, ``outer_rule``: ``shared`` when its three
+  outer axes took one node array (the first three lookups of the call),
+  ``own`` otherwise, so that a move of that choice shows even where no
+  value changes;
 * ``separation_sweep(1, [4, 8], "random", 3)``: values, bounds and
   cumulative slopes;
 * ``switch_time`` of the profile above on the default box and at x = 30 on
@@ -71,13 +78,34 @@ def show(label: str, value) -> None:
     print(f"{label} {text}")
 
 
+def outer_rule(sextic_form, call, *args):
+    """call(*args), a constraint-set quadrature, and ``shared`` when the
+    node arrays of its first three lookups, those of the outer axes, are
+    equal, ``own`` otherwise."""
+    import numpy as np
+
+    cells, nodes = sextic_form._cells, []
+
+    def recording(grid, pts, out=None):
+        if len(nodes) < 3:
+            nodes.append(np.array(pts))
+        return cells(grid, pts, out)
+
+    sextic_form._cells = recording
+    try:
+        value = call(*args)
+    finally:
+        sextic_form._cells = cells
+    return value, "shared" if all(np.array_equal(nodes[0], x) for x in nodes[1:]) else "own"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import numpy as np
 
     import strichartz_lab
-    from strichartz_lab import bilinear, extremizer, lattice, propagator, sextic_form
+    from strichartz_lab import bilinear, experiments, extremizer, lattice, propagator, sextic_form
     from workloads import picard_start, smooth_profile
 
     origin = Path(strichartz_lab.__file__).resolve().parent.parent
@@ -115,9 +143,14 @@ def main(argv=None) -> int:
     gauss = lattice.make_gaussian(grid)
     rng = np.random.default_rng(4)
     sextuple = [smooth_profile(grid, rng) for _ in range(6)]
-    for name, fields in (("gaussian", [gauss] * 6), ("random", sextuple)):
-        show(f"q_spacetime[{name}]", sextic_form.q_spacetime(*fields))
-        show(f"q_quadrature[{name}]", sextic_form.q_quadrature(*fields, 48, 48))
+    rng = np.random.default_rng(4)
+    unshared = [experiments._random_smooth_profile(grid, rng) for _ in range(6)]
+    for name, fields in (("gaussian", [gauss] * 6), ("random", sextuple), ("unshared", unshared)):
+        if name != "unshared":
+            show(f"q_spacetime[{name}]", sextic_form.q_spacetime(*fields))
+        q, rule = outer_rule(sextic_form, sextic_form.q_quadrature, *fields, 48, 48)
+        show(f"q_quadrature[{name}]", q)
+        show(f"q_quadrature[{name}].outer_rule", rule)
     ratios, spread = sextic_form.calibrate_kappa([gauss, f])
     show("kappa.ratios", ratios)
     show("kappa.spread", spread)
@@ -126,7 +159,9 @@ def main(argv=None) -> int:
     w = sextic_form.WeightParams(2.0 ** -4, 1.0)
     h = lattice.WaveFunction(fhat.grid, np.exp(sextic_form.weight(fhat.grid.xi, w)) * fhat.values)
     h_gt = lattice.WaveFunction(fhat.grid, np.where(np.abs(fhat.grid.xi) >= 4.0, h.values, 0.0))
-    show("m_weighted[tail-chain]", sextic_form.m_weighted(h_gt, h, h, h, h, h, w, 48, 48))
+    m, rule = outer_rule(sextic_form, sextic_form.m_weighted, h_gt, h, h, h, h, h, w, 48, 48)
+    show("m_weighted[tail-chain]", m)
+    show("m_weighted[tail-chain].outer_rule", rule)
 
     sweep = bilinear.separation_sweep(1, [4, 8], "random", 3)
     show("sweep.values", np.array(sweep.values))
