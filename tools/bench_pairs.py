@@ -12,9 +12,9 @@ snapshot holds tracked files only, so the script refuses to run, naming
 them, while untracked files lie under ``src/`` or ``perfbench/``.  It
 prints the commit each side runs, compiles the bytecode of both trees so
 that neither pays for a cold cache in ``setup_s``, and then runs, for each
-workload, --pairs pairs of
-``perfbench/run.py --trace 0`` for the ``run_seconds`` of ``BENCHMARK.json``,
-one seed per pair (--first-seed, +1, ...), the parent first on odd pairs.
+workload, --pairs pairs of ``perfbench/run.py --trace 0`` for the
+``run_seconds`` of ``BENCHMARK.json``, one seed per pair (--first-seed, +1,
+...), the parent first on odd pairs.
 Every run's result line is echoed as it ends.  At the end it prints, for
 each workload and end-to-end metric of ``BENCHMARK.json``, both sides'
 median [Q1, Q3], the pairs the change won, and a verdict.  Below them come
@@ -65,6 +65,7 @@ def parse_args(argv=None):
 
 
 def git(*args: str) -> str:
+    """The stripped standard output of git args, run in this checkout."""
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
 
@@ -141,7 +142,8 @@ def main(argv=None) -> int:
     metrics = bench["end_to_end"]
     records, failures = [], []
     refs = {"parent": args.parent, "change": args.change or snapshot()}
-    commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}") for side, ref in refs.items()}
+    commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
+               for side, ref in refs.items()}
     for side, commit in commits.items():
         source = "working tree" if side == "change" and not args.change else refs[side]
         print(f"{side} runs {commit} ({source})", flush=True)
