@@ -174,7 +174,7 @@ def _live(fhat: WaveFunction) -> np.ndarray:
 
 
 def _runs(fhat: WaveFunction) -> list[tuple[int, int]]:
-    """Index runs [a, b] of fhat's live samples, merged when less than five pads apart."""
+    """Index runs (a, b) of fhat's live samples, merged when less than five pads apart."""
     edges = np.diff(np.concatenate([[0], _live(fhat).astype(int), [0]]))
     starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
     if not starts.size:
